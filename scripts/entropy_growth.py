@@ -7,27 +7,21 @@ Usage: python scripts/entropy_growth.py
 
 import math
 
-from decogauss.evolution import cubic_from_initial, evolve, minimum_uncertainty_initial
-from decogauss.model import air_environment, big_lambda, lambda_coefficient, tau_from_time
-from decogauss.scenarios import baseball_scenario
+from decogauss.evolution import evolve
+from decogauss.model import tau_from_time
+from decogauss.scenarios import baseball_scenario, evolve_scenario
 from decogauss.spectral import mean_excitation, von_neumann_entropy
-from decogauss.units import CONSTANTS, planck_length_unit
 
 scenario = baseball_scenario()
-l_pl = CONSTANTS.planck_length
-env = air_environment(scenario.air, scenario.particle)
-lam = lambda_coefficient(big_lambda(env), scenario.particle) * l_pl**4
-cubic = cubic_from_initial(
-    minimum_uncertainty_initial((scenario.initial_dx_m / l_pl) ** 2, planck_length_unit()),
-    lam,
-)
+evolution = evolve_scenario(scenario)
+area = evolution.state.unit.scale_m**2  # m^2 per squared Planck length
 
 t_flight = scenario.evolution_time_s
 print(f"{'t / t_flight':>12} {'N':>13} {'S (nats)':>9} {'dS/dln t':>9}")
 previous = None
 for factor in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-    tau = tau_from_time(factor * t_flight, scenario.particle) / l_pl**2
-    n_mean = mean_excitation(evolve(cubic, tau))
+    tau = tau_from_time(factor * t_flight, scenario.particle) / area
+    n_mean = mean_excitation(evolve(evolution.cubic, tau))
     entropy = von_neumann_entropy(n_mean)
     slope = "" if previous is None else f"{(entropy - previous[1]) / math.log(factor / previous[0]):9.4f}"
     print(f"{factor:>12.2f} {n_mean:>13.4e} {entropy:>9.3f} {slope:>9}")

@@ -6,7 +6,7 @@ Neumann entropy), phase averaging, localized observation-operator
 measures, and an independent grid-PDE oracle.
 """
 
-from .averaging import averaged_time_scalings, phase_average
+from .averaging import phase_average
 from .evolution import (
     CubicSolution,
     GaussianDensityMatrix,
@@ -50,6 +50,6 @@ from .spectral import (
     von_neumann_entropy,
     weighted_position_variance,
 )
-from .units import CONSTANTS, METER, PLANCK_LENGTH, LengthUnit, convert_length, planck_scaled
+from .units import CONSTANTS, METER, PLANCK_LENGTH, LengthUnit
 
 __version__ = "0.1.0"

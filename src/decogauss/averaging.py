@@ -9,71 +9,12 @@ weighted position variance -- is exactly invariant.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from .evolution import GaussianDensityMatrix
 
-from .evolution import CubicSolution, GaussianDensityMatrix, evolve
-from .spectral import mean_excitation, von_neumann_entropy
-
-__all__ = ["phase_average", "TimeScalings", "averaged_time_scalings"]
+__all__ = ["phase_average"]
 
 
 def phase_average(state: GaussianDensityMatrix) -> GaussianDensityMatrix:
     """Drop B; A, C and the unit are untouched.  Idempotent."""
     return GaussianDensityMatrix(state.a_coeff, 0.0, state.c_coeff, state.unit)
 
-
-@dataclass(frozen=True)
-class TimeScalings:
-    """Exact phase-averaged coefficients at one tau alongside the ballistic
-    leading orders A ~ lam*tau/2, C ~ 1/(8 a2 tau^2), N ~ sqrt(a2 lam tau^3),
-    with relative deviations (exact - leading)/exact."""
-
-    a_exact: float
-    c_exact: float
-    n_exact: float
-    s_exact: float
-    a_leading: float
-    c_leading: float
-    n_leading: float
-    s_leading: float
-    a_deviation: float
-    c_deviation: float
-    n_deviation: float
-    s_deviation: float
-
-
-def _relative(exact: float, leading: float) -> float:
-    if exact == 0.0:
-        return 0.0 if leading == 0.0 else math.inf
-    return (exact - leading) / exact
-
-
-def averaged_time_scalings(cubic: CubicSolution, tau: float) -> TimeScalings:
-    """Evaluate the exact closed form at tau > 0 and compare it against the
-    leading-order power laws of the spreading regime."""
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    state = phase_average(evolve(cubic, tau))
-    n_exact = mean_excitation(state)
-    s_exact = von_neumann_entropy(n_exact)
-
-    a_leading = 0.5 * cubic.lam * tau
-    c_leading = 1.0 / (8.0 * cubic.a2 * tau * tau)
-    n_leading = math.sqrt(cubic.a2 * cubic.lam) * tau * math.sqrt(tau)
-    s_leading = math.log(n_leading) + 1.0 if n_leading > 0.0 else 0.0
-
-    return TimeScalings(
-        a_exact=state.a_coeff,
-        c_exact=state.c_coeff,
-        n_exact=n_exact,
-        s_exact=s_exact,
-        a_leading=a_leading,
-        c_leading=c_leading,
-        n_leading=n_leading,
-        s_leading=s_leading,
-        a_deviation=_relative(state.a_coeff, a_leading),
-        c_deviation=_relative(state.c_coeff, c_leading),
-        n_deviation=_relative(n_exact, n_leading),
-        s_deviation=_relative(s_exact, s_leading),
-    )

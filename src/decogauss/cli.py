@@ -78,15 +78,9 @@ def _cmd_measure(args) -> int:
     scenario = _load_config(args.config)
     if scenario.observation is None:
         raise scenarios.MissingKeyError("observation section")
-    report = scenarios.run(scenario, samples=args.samples)
-    trimmed = scenarios.Report(
-        scenario_name=report.scenario_name,
-        scalars=(),
-        trajectory=(),
-        discrepancies=(),
-        profile=report.profile,
-    )
-    _write_output(scenarios.emit(trimmed, args.format), args.output)
+    profile = scenarios.profile_rows(scenarios.evolve_scenario(scenario))
+    report = scenarios.Report(scenario.name, scalars=(), trajectory=(), discrepancies=(), profile=profile)
+    _write_output(scenarios.emit(report, args.format), args.output)
     return EXIT_OK
 
 
@@ -113,6 +107,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     """Closed form versus grid integration at seeded O(1) parameter sets."""
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(20210830)
     tolerance = 1e-3
     worst = 0.0
@@ -144,10 +140,14 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if worst <= tolerance else EXIT_ORACLE
 
 
-def _add_common(parser: argparse.ArgumentParser, default_samples: int) -> None:
-    parser.add_argument("--format", choices=("csv", "json", "text"), default="text")
+def _add_output(parser: argparse.ArgumentParser, formats=("csv", "json", "text")) -> None:
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--samples", type=int, default=default_samples)
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    _add_output(parser)
+    parser.add_argument("--samples", type=int, default=8)
     parser.add_argument(
         "--tolerance-profile",
         choices=("strict", "paper"),
@@ -165,24 +165,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate a scenario config and emit the report")
     p_run.add_argument("--config", required=True)
-    _add_common(p_run, default_samples=8)
+    _add_report_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_base = sub.add_parser("baseball", help="run the built-in baseball preset")
-    _add_common(p_base, default_samples=8)
+    _add_report_flags(p_base)
     p_base.set_defaults(func=_cmd_baseball)
 
     p_oracle = sub.add_parser(
         "oracle-check", help="grid-PDE validation suite at O(1) parameters"
     )
-    _add_common(p_oracle, default_samples=2)
+    p_oracle.add_argument("--samples", type=int, default=2, help="number of parameter sets")
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     p_measure = sub.add_parser(
         "measure", help="observation-operator profile for a scenario"
     )
     p_measure.add_argument("--config", required=True)
-    _add_common(p_measure, default_samples=8)
+    _add_output(p_measure)
     p_measure.set_defaults(func=_cmd_measure)
 
     p_spectrum = sub.add_parser(
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--A", type=float, required=True)
     p_spectrum.add_argument("--B", type=float, required=True)
     p_spectrum.add_argument("--C", type=float, required=True)
-    _add_common(p_spectrum, default_samples=8)
+    _add_output(p_spectrum, formats=("json", "text"))
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
     return parser

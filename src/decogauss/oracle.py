@@ -38,7 +38,6 @@ __all__ = [
     "stable_step_count",
     "extract_gaussian_coefficients",
     "eigendecompose_kernel",
-    "dump_csv",
 ]
 
 
@@ -330,10 +329,3 @@ def eigendecompose_kernel(grid: GridState, count: int):
     order = np.argsort(eigvals)[::-1][:count]
     return eigvals[order], eigvecs[:, order]
 
-
-def dump_csv(grid: GridState) -> bytes:
-    """Debug dump: header with the domain, then the row-major complex matrix."""
-    lines = [f"# x_min={grid.x_min!r} x_max={grid.x_max!r} n_points={grid.n_points}"]
-    for row in grid.values:
-        lines.append(",".join(repr(complex(v)) for v in row))
-    return ("\n".join(lines) + "\n").encode()

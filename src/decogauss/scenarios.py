@@ -17,10 +17,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .averaging import phase_average
 from .evolution import (
+    CubicSolution,
+    GaussianDensityMatrix,
     cubic_from_initial,
     evolve,
     minimum_uncertainty_initial,
@@ -46,6 +48,7 @@ __all__ = [
     "Scenario",
     "ObservationFamilySpec",
     "Report",
+    "ScenarioEvolution",
     "ScalarRow",
     "TrajectoryRow",
     "DiscrepancyEntry",
@@ -57,7 +60,9 @@ __all__ = [
     "AmbiguityError",
     "flight_time",
     "baseball_scenario",
+    "evolve_scenario",
     "run",
+    "profile_rows",
     "load_scenario",
     "dump_scenario",
     "emit",
@@ -121,6 +126,8 @@ class Scenario:
             raise ValueError("evolution_time_s must be positive")
         if not (math.isfinite(self.initial_dx_m) and self.initial_dx_m > 0.0):
             raise ValueError("initial_dx_m must be positive")
+        if not all(math.isfinite(t) and t >= 0.0 for t in self.sample_times_s or ()):
+            raise ValueError(f"sample_times_s must be finite and nonnegative, got {self.sample_times_s!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,9 @@ class ScalarRow:
     tol_value: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+# the two all-numeric row types are named tuples: every field is an emitted
+# column, in column order
+class TrajectoryRow(NamedTuple):
     t_s: float
     tau: float
     dx2: float
@@ -154,8 +162,7 @@ class DiscrepancyEntry:
     computed: float
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     center: float
     measure: float
 
@@ -230,43 +237,93 @@ def _entropy_at(cubic, tau: float) -> float:
     return von_neumann_entropy(mean_excitation(evolve(cubic, tau)))
 
 
+@dataclass(frozen=True)
+class ScenarioEvolution:
+    """A scenario evolved to its final time, in Planck units.
+
+    ``state`` and ``cubic`` carry ``planck_length_unit(constants)``; every
+    conversion back to SI goes through that unit.
+    """
+
+    scenario: Scenario
+    constants: PhysicalConstants
+    environment: ScatteringEnvironment
+    localization_rate: float  # 1/(m^2*s)
+    lam_si: float             # 1/m^4
+    lam_planck: float         # 1/l_Pl^4
+    cubic: CubicSolution
+    tau_si: float             # m^2
+    tau_planck: float         # l_Pl^2
+    state: GaussianDensityMatrix
+
+
+def evolve_scenario(
+    scenario: Scenario, constants: PhysicalConstants = CONSTANTS
+) -> ScenarioEvolution:
+    """Environment -> localization rate -> lam -> cubic -> state at the
+    evolution time, converted once from SI into Planck units."""
+    particle = scenario.particle
+    env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle, constants)
+    loc_rate = big_lambda(env)
+    lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle, constants)
+
+    unit = planck_length_unit(constants)
+    area = unit.scale_m**2
+    lam_planck = lam_si * area * area
+    state0 = minimum_uncertainty_initial((scenario.initial_dx_m / unit.scale_m) ** 2, unit)
+    cubic = cubic_from_initial(state0, lam_planck)
+    tau_si = tau_from_time(scenario.evolution_time_s, particle, constants)
+    tau_planck = tau_si / area
+    return ScenarioEvolution(
+        scenario, constants, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck,
+        evolve(cubic, tau_planck),
+    )
+
+
 def run(
     scenario: Scenario,
     constants: PhysicalConstants = CONSTANTS,
     samples: int = 8,
 ) -> Report:
-    """Full pipeline: environment -> lam -> cubic -> evolved state, spectral
-    summary, phase average, trajectory table, discrepancy ledger."""
+    """Full pipeline: ``evolve_scenario``, then the scalar rows, the
+    trajectory table, the discrepancy ledger and the observation profile."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    particle = scenario.particle
-    if scenario.air is not None:
-        env = air_environment(scenario.air, particle, constants)
+    evolution = evolve_scenario(scenario, constants)
+    scalars = _scalar_rows(evolution)
+    if scenario.sample_times_s is not None:
+        times = scenario.sample_times_s
     else:
-        env = scenario.environment
-    loc_rate = big_lambda(env)
-    lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle, constants)
+        times = [scenario.evolution_time_s * k / samples for k in range(samples + 1)]
+    discrepancies = ()
+    if scenario.name == "baseball" and scenario.air is not None:
+        discrepancies = _discrepancy_ledger({row.name: row.value for row in scalars})
+    return Report(
+        scenario_name=scenario.name,
+        scalars=scalars,
+        trajectory=_trajectory_rows(evolution, times),
+        discrepancies=discrepancies,
+        profile=profile_rows(evolution),
+    )
 
-    l_pl = constants.planck_length
-    l_pl_sq = l_pl * l_pl
-    lam_planck = lam_si * l_pl_sq * l_pl_sq
-    planck_unit = planck_length_unit(constants)
 
-    state0 = minimum_uncertainty_initial((scenario.initial_dx_m / l_pl) ** 2, planck_unit)
-    cubic = cubic_from_initial(state0, lam_planck)
-
+def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
+    scenario, constants, state, cubic = (
+        evolution.scenario, evolution.constants, evolution.state, evolution.cubic
+    )
+    particle, env, loc_rate = scenario.particle, evolution.environment, evolution.localization_rate
+    lam_si, lam_planck = evolution.lam_si, evolution.lam_planck
+    tau_si, tau_planck = evolution.tau_si, evolution.tau_planck
+    l_pl = state.unit.scale_m
     t_end = scenario.evolution_time_s
-    tau_si = tau_from_time(t_end, particle, constants)
-    tau_planck = tau_si / l_pl_sq
-    # Planck-native route: time over l_Pl/c, mass over hbar/(c*l_Pl), both
-    # anchored on the same planck_length so the routes differ only in
-    # rounding order
-    t_native = t_end * constants.c / l_pl
-    m_native = particle.mass * constants.c * l_pl / constants.hbar
+    # Planck-native route, written out apart from the unit: time over
+    # l_Pl/c, mass over hbar/(c*l_Pl), both anchored on the same
+    # planck_length so the routes differ only in rounding order
+    t_native = t_end * constants.c / constants.planck_length
+    m_native = particle.mass * constants.c * constants.planck_length / constants.hbar
     tau_consistency = abs(tau_planck - t_native / m_native) / tau_planck
 
-    state = evolve(cubic, tau_planck)
-    averaged = phase_average(state)
+    averaged = phase_average(state.convert(METER))
     summary = spectral_summary(state)
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
@@ -323,7 +380,7 @@ def run(
     add("entropy_nats", summary.entropy_nats, "nat")
     add("p0", summary.p0, "1")
     add("purity", purity(state), "1")
-    add("ground_state_variance_m2", l_pl_sq / (8.0 * sqrt_ac), "m^2")
+    add("ground_state_variance_m2", l_pl * l_pl / (8.0 * sqrt_ac), "m^2")
     if lam_si > 0.0:
         period_s = (
             2.0
@@ -337,76 +394,74 @@ def run(
         averaging_time = constants.h / (0.5 * particle.mass * scenario.speed_m_s**2)
         add("averaging_time_s", averaging_time, "s")
         add("averaging_time_over_flight_time", averaging_time / t_end, "1")
-    averaged_a_si = averaged.a_coeff / l_pl_sq
-    add("averaged_A_per_m2", averaged_a_si, "1/m^2")
-    add("averaged_A_significand", _significand(averaged_a_si), "1")
-    add("averaged_C_per_m2", averaged.c_coeff / l_pl_sq, "1/m^2")
-    growth = None
+    add("averaged_A_per_m2", averaged.a_coeff, "1/m^2")
+    add("averaged_A_significand", _significand(averaged.a_coeff), "1")
+    add("averaged_C_per_m2", averaged.c_coeff, "1/m^2")
     if lam_si > 0.0:
         growth = _entropy_at(cubic, tau_planck * math.e) - _entropy_at(cubic, tau_planck)
         add("entropy_growth_coefficient", growth, "1")
+    return tuple(rows)
 
-    if scenario.sample_times_s is not None:
-        times = list(scenario.sample_times_s)
-    else:
-        times = [t_end * k / samples for k in range(samples + 1)]
-    trajectory = []
+
+def _discrepancy_ledger(value: dict[str, float]) -> tuple[DiscrepancyEntry, ...]:
+    """The baseball preset's known discrepancies, each computed value read
+    from the report's scalar rows."""
+    return (
+        DiscrepancyEntry(
+            description="composite rate formula disagrees with the defining chain",
+            stated="lambda = m*sigma*m_a*rho_a*v_a^3/(3*h^3)",
+            # the ratio, which is 2*pi
+            computed=value["lambda_per_m4"] / value["lambda_composite_per_m4"],
+        ),
+        DiscrepancyEntry(
+            description="published averaged A carries no power of ten",
+            stated="averaged A ~ 7.62419 1/m^2 at the flight time",
+            computed=value["averaged_A_per_m2"],
+        ),
+        DiscrepancyEntry(
+            description="published entropy growth coefficient is 2/3; the exact entropy grows with 3/2",
+            stated="S ~ 61 + (2/3) ln(t/t_flight)",
+            computed=value.get("entropy_growth_coefficient"),
+        ),
+    )
+
+
+def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow, ...]:
+    """One SI row per sample time; one scale for the whole table rather
+    than a converted state per row."""
+    particle, constants, cubic = evolution.scenario.particle, evolution.constants, evolution.cubic
+    area = evolution.state.unit.scale_m**2
+    rows = []
     for t in times:
-        tau_t = tau_from_time(t, particle, constants) / l_pl_sq
+        tau_t = tau_from_time(t, particle, constants) / area
         state_t = evolve(cubic, tau_t)
         n_t = mean_excitation(state_t)
-        trajectory.append(
+        rows.append(
             TrajectoryRow(
-                t_s=t,
-                tau=tau_t * l_pl_sq,
-                dx2=position_variance(cubic, tau_t) * l_pl_sq,
-                dp2=momentum_variance(cubic, tau_t) / l_pl_sq,
-                a_coeff=state_t.a_coeff / l_pl_sq,
-                b_coeff=state_t.b_coeff / l_pl_sq,
-                c_coeff=state_t.c_coeff / l_pl_sq,
-                n_mean=n_t,
-                entropy=von_neumann_entropy(n_t),
+                t,
+                tau_t * area,
+                position_variance(cubic, tau_t) * area,
+                momentum_variance(cubic, tau_t) / area,
+                state_t.a_coeff / area,
+                state_t.b_coeff / area,
+                state_t.c_coeff / area,
+                n_t,
+                von_neumann_entropy(n_t),
             )
         )
+    return tuple(rows)
 
-    discrepancies: list[DiscrepancyEntry] = []
-    if is_baseball:
-        composite = lambda_composite_crosscheck(scenario.air, particle, constants)
-        discrepancies = [
-            DiscrepancyEntry(
-                description="composite rate formula disagrees with the defining chain",
-                stated="lambda = m*sigma*m_a*rho_a*v_a^3/(3*h^3)",
-                computed=lam_si / composite,  # the ratio, which is 2*pi
-            ),
-            DiscrepancyEntry(
-                description="published averaged A carries no power of ten",
-                stated="averaged A ~ 7.62419 1/m^2 at the flight time",
-                computed=averaged_a_si,
-            ),
-            DiscrepancyEntry(
-                description="published entropy growth coefficient is 2/3; the exact entropy grows with 3/2",
-                stated="S ~ 61 + (2/3) ln(t/t_flight)",
-                computed=growth,
-            ),
-        ]
 
-    profile: list[ProfileRow] = []
-    if scenario.observation is not None:
-        obs = scenario.observation
-        state_si = state.convert(METER)
-        profile = [
-            ProfileRow(center=x_k, measure=value)
-            for x_k, value in measure_profile(
-                obs.centers_m, obs.alpha_per_m2, obs.gamma_per_m2, state_si
-            )
-        ]
-
-    return Report(
-        scenario_name=scenario.name,
-        scalars=tuple(rows),
-        trajectory=tuple(trajectory),
-        discrepancies=tuple(discrepancies),
-        profile=tuple(profile),
+def profile_rows(evolution: ScenarioEvolution) -> tuple[ProfileRow, ...]:
+    """tr(A_k rho) at the evolution time for the scenario's observation
+    windows; empty when it configures none."""
+    obs = evolution.scenario.observation
+    if obs is None:
+        return ()
+    state_si = evolution.state.convert(METER)
+    return tuple(
+        ProfileRow(*pair)
+        for pair in measure_profile(obs.centers_m, obs.alpha_per_m2, obs.gamma_per_m2, state_si)
     )
 
 
@@ -509,13 +564,23 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
             return parser[section][key]
         return None
 
-    mass_raw = get("particle", "mass_kg")
-    if mass_raw is None:
-        raise MissingKeyError("mass_kg")
-    radius_raw = get("particle", "radius_m")
+    def optional(section: str, key: str, parse=_parse_float):
+        raw = get(section, key)
+        return None if raw is None else parse(section, key, raw)
+
+    def required(section: str, keys, parse=_parse_float) -> dict:
+        """Every key of a section, parsed in order; the first missing key raises."""
+        values = {}
+        for key in keys:
+            raw = get(section, key)
+            if raw is None:
+                raise MissingKeyError(key)
+            values[key] = parse(section, key, raw)
+        return values
+
     particle = FreeParticle(
-        mass=_parse_float("particle", "mass_kg", mass_raw),
-        radius=None if radius_raw is None else _parse_float("particle", "radius_m", radius_raw),
+        mass=required("particle", ("mass_kg",))["mass_kg"],
+        radius=optional("particle", "radius_m"),
     )
 
     has_air = parser.has_section("air")
@@ -527,12 +592,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     air = None
     environment = None
     if has_air:
-        values = {}
-        for key in ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K"):
-            raw = get("air", key)
-            if raw is None:
-                raise MissingKeyError(key)
-            values[key] = _parse_float("air", key, raw)
+        values = required("air", ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K"))
         air = AirModel(
             molecular_mass=values["molecular_mass_kg"],
             mass_density=values["mass_density_kg_m3"],
@@ -541,12 +601,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
         if particle.radius is None:
             raise MissingKeyError("radius_m")
     else:
-        values = {}
-        for key in _SCHEMA["environment"]:
-            raw = get("environment", key)
-            if raw is None:
-                raise MissingKeyError(key)
-            values[key] = _parse_float("environment", key, raw)
+        values = required("environment", _SCHEMA["environment"])
         environment = ScatteringEnvironment(
             number_density=values["number_density_per_m3"],
             cross_section=values["cross_section_m2"],
@@ -554,47 +609,29 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
             rms_wavenumber=values["rms_wavenumber_per_m"],
         )
 
-    dx_m_raw = get("scenario", "initial_dx_m")
-    dx_pl_raw = get("scenario", "initial_dx_planck_lengths")
-    if dx_m_raw is not None and dx_pl_raw is not None:
+    if all(get("scenario", key) is not None for key in ("initial_dx_m", "initial_dx_planck_lengths")):
         raise AmbiguityError(
             "config supplies both initial_dx_m and initial_dx_planck_lengths"
         )
-    if dx_m_raw is not None:
-        initial_dx_m = _parse_float("scenario", "initial_dx_m", dx_m_raw)
-    elif dx_pl_raw is not None:
-        initial_dx_m = (
-            _parse_float("scenario", "initial_dx_planck_lengths", dx_pl_raw)
-            * constants.planck_length
-        )
-    else:
-        raise MissingKeyError("initial_dx_m")
+    initial_dx_m = optional("scenario", "initial_dx_m")
+    if initial_dx_m is None:
+        dx_planck = optional("scenario", "initial_dx_planck_lengths")
+        if dx_planck is None:
+            raise MissingKeyError("initial_dx_m")
+        initial_dx_m = dx_planck * constants.planck_length
 
-    speed_raw = get("scenario", "speed_m_s")
-    speed = None if speed_raw is None else _parse_float("scenario", "speed_m_s", speed_raw)
-    time_raw = get("scenario", "evolution_time_s")
-    if time_raw is not None:
-        evolution_time = _parse_float("scenario", "evolution_time_s", time_raw)
-    elif speed is not None:
+    speed = optional("scenario", "speed_m_s")
+    evolution_time = optional("scenario", "evolution_time_s")
+    if evolution_time is None:
+        if speed is None:
+            raise MissingKeyError("evolution_time_s")
         evolution_time = flight_time(speed, constants)
-    else:
-        raise MissingKeyError("evolution_time_s")
-
-    samples_raw = get("scenario", "sample_times_s")
-    sample_times = (
-        None if samples_raw is None else _parse_float_list("scenario", "sample_times_s", samples_raw)
-    )
-    disable_raw = get("scenario", "disable_decoherence")
-    disable = False if disable_raw is None else _parse_bool("scenario", "disable_decoherence", disable_raw)
+    sample_times = optional("scenario", "sample_times_s", _parse_float_list)
+    disable = optional("scenario", "disable_decoherence", _parse_bool) or False
 
     observation = None
     if parser.has_section("observation"):
-        values = {}
-        for key in _SCHEMA["observation"]:
-            raw = get("observation", key)
-            if raw is None:
-                raise MissingKeyError(key)
-            values[key] = raw
+        values = required("observation", _SCHEMA["observation"], parse=lambda section, key, raw: raw)
         observation = ObservationFamilySpec(
             centers_m=_parse_float_list("observation", "centers_m", values["centers_m"]),
             alpha_per_m2=_parse_float("observation", "alpha_per_m2", values["alpha_per_m2"]),
@@ -676,130 +713,81 @@ def _fmt_dev(value: Optional[float]) -> str:
     return f"{value:.2e}"
 
 
-def _round9(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    return float(_fmt(value))
+# columns that hold text; every other cell is a formatted number or ""
+_TEXT_COLUMNS = frozenset(("name", "unit", "description", "stated"))
 
 
-def _round3(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    if value == 0.0:
-        value = 0.0
-    return float(f"{value:.2e}")
-
-
-_TRAJECTORY_COLUMNS = ("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S")
-
-
-def _trajectory_values(row: TrajectoryRow) -> tuple[float, ...]:
-    return (
-        row.t_s,
-        row.tau,
-        row.dx2,
-        row.dp2,
-        row.a_coeff,
-        row.b_coeff,
-        row.c_coeff,
-        row.n_mean,
-        row.entropy,
-    )
+def _sections(report: Report):
+    """The one walk over a report: (section, column names, rows of
+    formatted cells) for each section, in emission order.  The column names
+    are the CSV headers and the JSON keys."""
+    yield "scalars", ("name", "value", "unit", "reference", "deviation"), [
+        (row.name, _fmt(row.value), row.unit, _fmt(row.reference), _fmt_dev(row.deviation))
+        for row in report.scalars
+    ]
+    yield "trajectory", ("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), [
+        tuple(map(_fmt, row)) for row in report.trajectory
+    ]
+    yield "discrepancies", ("description", "stated", "computed"), [
+        (entry.description, entry.stated, _fmt(entry.computed))
+        for entry in report.discrepancies
+    ]
+    yield "profile", ("x_k", "measure"), [(_fmt(x_k), _fmt(value)) for x_k, value in report.profile]
 
 
 def _emit_json(report: Report) -> bytes:
-    payload = {
-        "scenario": report.scenario_name,
-        "scalars": [
+    payload = {"scenario": report.scenario_name}
+    for section, columns, rows in _sections(report):
+        text = [column in _TEXT_COLUMNS for column in columns]
+        payload[section] = [
             {
-                "name": row.name,
-                "value": _round9(row.value),
-                "unit": row.unit,
-                "reference": _round9(row.reference),
-                "deviation": _round3(row.deviation),
+                column: cell if is_text else float(cell) if cell else None
+                for column, is_text, cell in zip(columns, text, row)
             }
-            for row in report.scalars
-        ],
-        "trajectory": [
-            dict(zip(_TRAJECTORY_COLUMNS, map(_round9, _trajectory_values(row))))
-            for row in report.trajectory
-        ],
-        "discrepancies": [
-            {
-                "description": entry.description,
-                "stated": entry.stated,
-                "computed": _round9(entry.computed),
-            }
-            for entry in report.discrepancies
-        ],
-        "profile": [
-            {"x_k": _round9(row.center), "measure": _round9(row.measure)}
-            for row in report.profile
-        ],
-    }
+            for row in rows
+        ]
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def _emit_csv(report: Report) -> bytes:
-    lines = [f"# scenario: {report.scenario_name}", "# section: scalars"]
-    lines.append("name,value,unit,reference,deviation")
-    for row in report.scalars:
-        lines.append(
-            f"{row.name},{_fmt(row.value)},{row.unit},{_fmt(row.reference)},{_fmt_dev(row.deviation)}"
-        )
-    lines.append("# section: trajectory")
-    lines.append(",".join(_TRAJECTORY_COLUMNS))
-    for row in report.trajectory:
-        lines.append(",".join(_fmt(v) for v in _trajectory_values(row)))
-    lines.append("# section: discrepancies")
-    lines.append("description,stated,computed")
-    for entry in report.discrepancies:
-        lines.append(f'"{entry.description}","{entry.stated}",{_fmt(entry.computed)}')
-    lines.append("# section: profile")
-    lines.append("x_k,measure")
-    for row in report.profile:
-        lines.append(f"{_fmt(row.center)},{_fmt(row.measure)}")
+    lines = [f"# scenario: {report.scenario_name}"]
+    for section, columns, rows in _sections(report):
+        lines.append(f"# section: {section}")
+        lines.append(",".join(columns))
+        if section == "discrepancies":
+            rows = [(f'"{description}"', f'"{stated}"', computed) for description, stated, computed in rows]
+        lines.extend(",".join(row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
 
+_TEXT_TITLES = {"trajectory": "trajectory (SI):", "profile": "observation profile:"}
+
+
 def _emit_text(report: Report) -> bytes:
-    lines = [f"scenario: {report.scenario_name or '(unnamed)'}", ""]
-    name_w = max(len(row.name) for row in report.scalars)
-    lines.append(
-        f"{'quantity':<{name_w}}  {'value':>15}  {'unit':<10} {'reference':>15}  {'deviation':>9}"
-    )
-    for row in report.scalars:
-        lines.append(
-            f"{row.name:<{name_w}}  {_fmt(row.value):>15}  {row.unit:<10} "
-            f"{_fmt(row.reference):>15}  {_fmt_dev(row.deviation):>9}"
-        )
-    lines.append("")
-    lines.append("trajectory (SI):")
-    lines.append("  ".join(f"{c:>15}" for c in _TRAJECTORY_COLUMNS))
-    for row in report.trajectory:
-        lines.append("  ".join(f"{_fmt(v):>15}" for v in _trajectory_values(row)))
-    if report.discrepancies:
+    lines = [f"scenario: {report.scenario_name or '(unnamed)'}"]
+    for section, columns, rows in _sections(report):
+        if not rows:
+            continue
         lines.append("")
-        lines.append("known discrepancies of the published description:")
-        for entry in report.discrepancies:
-            lines.append(f"- {entry.description}")
-            lines.append(f"    stated:   {entry.stated}")
-            lines.append(f"    computed: {_fmt(entry.computed)}")
-    if report.profile:
-        lines.append("")
-        lines.append("observation profile:")
-        lines.append(f"{'x_k':>15}  {'measure':>15}")
-        for row in report.profile:
-            lines.append(f"{_fmt(row.center):>15}  {_fmt(row.measure):>15}")
+        if section == "discrepancies":
+            lines.append("known discrepancies of the published description:")
+            for description, stated, computed in rows:
+                lines += [f"- {description}", f"    stated:   {stated}", f"    computed: {computed}"]
+            continue
+        if section == "scalars":
+            name_w = max(len(row[0]) for row in rows)
+            line = f"{{:<{name_w}}}  {{:>15}}  {{:<10}} {{:>15}}  {{:>9}}".format
+            lines.append(line("quantity", *columns[1:]))
+        else:
+            line = "  ".join(["{:>15}"] * len(columns)).format
+            lines += [_TEXT_TITLES[section], line(*columns)]
+        lines.extend(line(*row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
 
 def emit(report: Report, fmt: str = "text") -> bytes:
     """Deterministic serialization: same report, same bytes."""
-    if fmt == "json":
-        return _emit_json(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "text":
-        return _emit_text(report)
-    raise ValueError(f"format must be csv, json or text, got {fmt!r}")
+    emitter = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}.get(fmt)
+    if emitter is None:
+        raise ValueError(f"format must be csv, json or text, got {fmt!r}")
+    return emitter(report)

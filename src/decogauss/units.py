@@ -18,8 +18,6 @@ __all__ = [
     "METER",
     "PLANCK_LENGTH",
     "UnitMismatchError",
-    "convert_length",
-    "planck_scaled",
     "planck_length_unit",
 ]
 
@@ -85,10 +83,6 @@ class LengthUnit:
         if not (math.isfinite(self.scale_m) and self.scale_m > 0.0):
             raise ValueError(f"unit scale must be positive and finite, got {self.scale_m!r}")
 
-    @staticmethod
-    def custom(scale_in_meters: float, name: str = "custom") -> "LengthUnit":
-        return LengthUnit(name, scale_in_meters)
-
 
 METER = LengthUnit("m", 1.0)
 
@@ -99,21 +93,3 @@ def planck_length_unit(constants: PhysicalConstants = CONSTANTS) -> LengthUnit:
 
 PLANCK_LENGTH = planck_length_unit()
 
-
-def convert_length(value: float, from_unit: LengthUnit, to_unit: LengthUnit) -> float:
-    """Re-express a length in another unit.  Round-trips to relative 1e-12."""
-    if not math.isfinite(value):
-        raise ValueError(f"length must be finite, got {value!r}")
-    return value * (from_unit.scale_m / to_unit.scale_m)
-
-
-def planck_scaled(
-    value: float, power: int, constants: PhysicalConstants = CONSTANTS
-) -> float:
-    """Divide out ``planck_length**power``, where ``power`` is the net length
-    dimension of the quantity (2 for a squared length, -4 for a 1/length^4 rate)."""
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value!r}")
-    if power == 0:
-        return value
-    return value / constants.planck_length**power

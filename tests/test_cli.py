@@ -1,8 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from decogauss.cli import main
 from decogauss.scenarios import baseball_scenario, dump_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, **kwargs):
@@ -81,12 +87,48 @@ def test_measure_subcommand(tmp_path):
         + "\n[observation]\ncenters_m = -100.0, 0.0, 100.0\n"
         "alpha_per_m2 = 1.0\ngamma_per_m2 = 1e-5\n"
     )
-    result = run_cli("measure", "--config", str(config), "--format", "json", "--samples", "2")
+    result = run_cli("measure", "--config", str(config), "--format", "json")
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     values = [row["measure"] for row in payload["profile"]]
     assert len(values) == 3
     assert values[0] == values[2]
+
+
+def profile_row_count(text, fmt):
+    if fmt == "json":
+        return len(json.loads(text)["profile"])
+    lines = text.splitlines()
+    header = "x_k,measure" if fmt == "csv" else f"{'x_k':>15}  {'measure':>15}"
+    return len(lines) - lines.index(header) - 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_measure_every_format(fmt):
+    result = run_cli("measure", "--config", str(GOLDEN / "environment.ini"), "--format", fmt)
+    assert result.returncode == 0, result.stderr
+    assert profile_row_count(result.stdout, fmt) == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_measure_matches_golden_bytes(fmt, tmp_path):
+    out = tmp_path / f"profile.{fmt}"
+    code = main(["measure", "--config", str(GOLDEN / "environment.ini"), "--format", fmt,
+                 "--output", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"environment_measure.{fmt}").read_bytes()
+
+
+def test_invalid_sample_time_exits_3(tmp_path):
+    config = tmp_path / "times.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace(
+            "\n\n[particle]", "\nsample_times_s = 0.0, -1.0\n\n[particle]"
+        )
+    )
+    result = run_cli("run", "--config", str(config))
+    assert result.returncode == 3
+    assert "sample_times_s" in result.stderr
 
 
 def test_measure_requires_observation_section(tmp_path):
@@ -100,6 +142,17 @@ def test_oracle_check_passes():
     result = run_cli("oracle-check", "--samples", "1")
     assert result.returncode == 0, result.stderr
     assert "worst disagreement" in result.stdout
+
+
+def test_oracle_check_rejects_zero_samples():
+    result = run_cli("oracle-check", "--samples", "0")
+    assert result.returncode == 3
+    assert "--samples" in result.stderr
+
+
+def test_spectrum_rejects_csv_format():
+    result = run_cli("spectrum", "--A", "0.75", "--B", "-0.5", "--C", "0.0625", "--format", "csv")
+    assert result.returncode == 2
 
 
 def test_unknown_subcommand_exits_2():

@@ -16,7 +16,6 @@ from decogauss.oracle import (
     GridState,
     IntegrationFailureError,
     discretize,
-    dump_csv,
     eigendecompose_kernel,
     extract_gaussian_coefficients,
     integrate_master_equation,
@@ -239,12 +238,3 @@ def test_stable_step_count_scales_with_tau():
     grid = spanning_grid(MIXED, n_points=128)
     assert stable_step_count(grid, 1.0, 0.4) == 2 * stable_step_count(grid, 1.0, 0.2)
 
-
-def test_dump_csv_round_trip():
-    grid = spanning_grid(MIXED, n_points=64, sigmas=8.0)
-    data = dump_csv(grid).decode().splitlines()
-    assert data[0].startswith("# x_min=")
-    assert f"n_points={grid.n_points}" in data[0]
-    assert len(data) == 1 + grid.n_points
-    parsed = np.array([[complex(tok) for tok in line.split(",")] for line in data[1:]])
-    assert np.array_equal(parsed, grid.values)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from decogauss.scenarios import (
     tolerance_failures,
 )
 from decogauss.units import CONSTANTS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,21 @@ def test_run_with_raw_environment():
     assert report.discrepancies == ()
     assert scalar(report, "entropy_nats").value > 0.0
     assert all(row.reference is None for row in report.scalars)
+
+
+def test_baseball_named_environment_scenario_has_no_ledger():
+    """The ledger compares against the composite air formula, so a scenario
+    named baseball but given a raw [environment] runs without one."""
+    scenario = Scenario(
+        particle=baseball_scenario().particle,
+        initial_dx_m=CONSTANTS.planck_length / 2.0,
+        evolution_time_s=2.0,
+        environment=ScatteringEnvironment(1e25, 4e-3, 500.0, 2e11),
+        name="baseball",
+    )
+    report = run(scenario, samples=2)
+    assert report.discrepancies == ()
+    assert all(row.name != "lambda_composite_per_m4" for row in report.scalars)
 
 
 def test_observation_profile_in_report():
@@ -246,6 +264,15 @@ def test_flight_time_derived_when_time_absent():
     assert scenario.evolution_time_s == pytest.approx(flight_time(44.704), rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", ["-1.0", "nan", "1e400"])
+def test_sample_times_must_be_finite_and_nonnegative(bad):
+    text = dump_scenario(baseball_scenario()).replace(
+        "\n\n[particle]", f"\nsample_times_s = 0.0, {bad}\n\n[particle]"
+    )
+    with pytest.raises(ValueError, match="sample_times_s"):
+        load_scenario(text)
+
+
 def test_invariant_violation_is_value_error():
     text = dump_scenario(baseball_scenario()).replace(
         "mass_kg = 0.1459553", "mass_kg = -1.0"
@@ -259,6 +286,19 @@ def test_invariant_violation_is_value_error():
 def test_emit_deterministic(baseball_report):
     for fmt in ("csv", "json", "text"):
         assert emit(baseball_report, fmt) == emit(baseball_report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_baseball_report_matches_golden_bytes(fmt):
+    assert emit(run(baseball_scenario()), fmt) == (GOLDEN / f"baseball.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_environment_report_matches_golden_bytes(fmt):
+    """An [environment] scenario with sample_times_s and a 3-centre
+    [observation] block: every section but the discrepancies is filled."""
+    scenario = load_scenario((GOLDEN / "environment.ini").read_text())
+    assert emit(run(scenario), fmt) == (GOLDEN / f"environment.{fmt}").read_bytes()
 
 
 def test_csv_trajectory_schema(baseball_report):

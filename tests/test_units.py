@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decogauss.evolution import GaussianDensityMatrix
 from decogauss.units import (
     CONSTANTS,
     METER,
     PLANCK_LENGTH,
     LengthUnit,
     PhysicalConstants,
-    convert_length,
-    planck_scaled,
 )
 
 
@@ -51,67 +50,37 @@ def test_inconsistent_constants_rejected():
         )
 
 
-def test_convert_identity():
-    assert convert_length(1.0, METER, METER) == 1.0
-
-
 def test_convert_meter_to_planck_length():
-    assert convert_length(1.616255e-35, METER, PLANCK_LENGTH) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_convert_288_meters():
-    oracle = 288.0 / 1.616255e-35  # direct division
-    got = convert_length(288.0, METER, PLANCK_LENGTH)
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(1.782e37, rel=1e-3)
-
-
-def test_convert_rejects_non_finite():
-    with pytest.raises(ValueError):
-        convert_length(math.inf, METER, PLANCK_LENGTH)
-    with pytest.raises(ValueError):
-        convert_length(math.nan, METER, METER)
+    # a coefficient of one per square Planck length, given in 1/m^2
+    state = GaussianDensityMatrix(2.0 / 1.616255e-35**2, 0.0, 1.0 / 1.616255e-35**2, METER)
+    converted = state.convert(PLANCK_LENGTH)
+    assert converted.unit == PLANCK_LENGTH
+    assert converted.c_coeff == pytest.approx(1.0, rel=1e-12)
+    assert converted.a_coeff == pytest.approx(2.0, rel=1e-12)
 
 
 def test_custom_unit_scale_must_be_positive():
     with pytest.raises(ValueError):
-        LengthUnit.custom(0.0)
+        LengthUnit("u", 0.0)
     with pytest.raises(ValueError):
-        LengthUnit.custom(-1.0)
+        LengthUnit("u", -1.0)
     with pytest.raises(ValueError):
-        LengthUnit.custom(math.inf)
+        LengthUnit("u", math.inf)
 
 
 @given(
     value=st.floats(1e-30, 1e30),
+    ratio=st.floats(1.0, 1e4),
+    b=st.floats(-1e2, 1e2).filter(lambda b: b == 0.0 or abs(b) > 1e-6),
     scale1=st.floats(1e-36, 1e6),
     scale2=st.floats(1e-36, 1e6),
 )
-def test_convert_round_trip(value, scale1, scale2):
-    u1 = LengthUnit.custom(scale1, "u1")
-    u2 = LengthUnit.custom(scale2, "u2")
-    back = convert_length(convert_length(value, u1, u2), u2, u1)
-    assert back == pytest.approx(value, rel=1e-12)
-
-
-def test_planck_scaled_tau():
-    got = planck_scaled(4.658e-33, 2)
-    oracle = 4.658e-33 / CONSTANTS.planck_length**2
-    assert got == oracle
-    assert got == pytest.approx(1.78e37, rel=1e-2)
-
-
-def test_planck_scaled_lambda():
-    got = planck_scaled(3.27e79, -4)
-    oracle = 3.27e79 * CONSTANTS.planck_length**4
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(2.2e-60, rel=5e-2)
-
-
-def test_planck_scaled_zero_power_identity():
-    assert planck_scaled(1.0, 0) == 1.0
-
-
-def test_planck_scaled_rejects_non_finite():
-    with pytest.raises(ValueError):
-        planck_scaled(math.nan, 2)
+def test_convert_round_trip(value, ratio, b, scale1, scale2):
+    u1 = LengthUnit("u1", scale1)
+    u2 = LengthUnit("u2", scale2)
+    state = GaussianDensityMatrix(ratio * value, b * value, value, u1)
+    back = state.convert(u2).convert(u1)
+    assert back.unit == u1
+    assert back.a_coeff == pytest.approx(state.a_coeff, rel=1e-12)
+    assert back.b_coeff == pytest.approx(state.b_coeff, rel=1e-12)
+    assert back.c_coeff == pytest.approx(state.c_coeff, rel=1e-12)
