@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ def test_scaling_c_falls_as_t_to_minus_two():
     c1 = averaged(tau).c_coeff
     c2 = averaged(2.0 * tau).c_coeff
     assert c2 / c1 == pytest.approx(0.25, rel=1e-2)
+
+
+def test_scalings_match_closed_form_exactly():
+    """The averaged state keeps A = (2XX'' - X'^2)/(8X) and C = 1/(8X) of
+    the variance cubic, here evaluated in exact rational arithmetic."""
+    lam, a2, a1, a0, tau = map(
+        Fraction, (BALLISTIC.lam, BALLISTIC.a2, BALLISTIC.a1, BALLISTIC.a0, 3e4)
+    )
+    x = a0 + tau * (a1 + tau * (a2 + tau * lam))
+    x_prime = a1 + tau * (2 * a2 + 3 * lam * tau)
+    x_second = 2 * a2 + 6 * lam * tau
+    a_exact = (2 * x * x_second - x_prime * x_prime) / (8 * x)
+    c_exact = 1 / (8 * x)
+    state = averaged(3e4)
+    assert state.b_coeff == 0.0
+    assert state.a_coeff == pytest.approx(float(a_exact), rel=1e-12)
+    assert state.c_coeff == pytest.approx(float(c_exact), rel=1e-12)
+    n_exact = 0.5 * (math.sqrt(float(a_exact / c_exact)) - 1.0)
+    assert mean_excitation(state) == pytest.approx(n_exact, rel=1e-12)
 
 
 def test_leading_order_deviations_small_in_ballistic_window():

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decogauss.evolution import GaussianDensityMatrix
+from decogauss.evolution import GaussianDensityMatrix, purity
+from decogauss.scenarios import baseball_scenario, evolve_scenario
+from decogauss.spectral import mean_excitation, weighted_position_variance
 from decogauss.units import (
     CONSTANTS,
     METER,
@@ -50,6 +53,11 @@ def test_inconsistent_constants_rejected():
         )
 
 
+def test_convert_identity():
+    state = GaussianDensityMatrix(0.75, -0.5, 0.0625, METER)
+    assert state.convert(METER) == state
+
+
 def test_convert_meter_to_planck_length():
     # a coefficient of one per square Planck length, given in 1/m^2
     state = GaussianDensityMatrix(2.0 / 1.616255e-35**2, 0.0, 1.0 / 1.616255e-35**2, METER)
@@ -57,6 +65,21 @@ def test_convert_meter_to_planck_length():
     assert converted.unit == PLANCK_LENGTH
     assert converted.c_coeff == pytest.approx(1.0, rel=1e-12)
     assert converted.a_coeff == pytest.approx(2.0, rel=1e-12)
+
+
+def test_convert_288_meters():
+    spread_planck = 288.0 / 1.616255e-35  # direct division
+    assert spread_planck == pytest.approx(1.782e37, rel=1e-3)
+    c = 1.0 / (8.0 * spread_planck**2)  # position variance 1/(8C)
+    state = GaussianDensityMatrix(c, 0.0, c, PLANCK_LENGTH)
+    got = math.sqrt(weighted_position_variance(state.convert(METER)))
+    assert got == pytest.approx(288.0, rel=1e-12)
+
+
+def test_convert_rejects_non_finite():
+    state = GaussianDensityMatrix(1e300, 0.0, 1e300, METER)
+    with pytest.raises(ValueError):
+        state.convert(LengthUnit("Gm", 1e9))  # 1e318 per Gm^2 overflows
 
 
 def test_custom_unit_scale_must_be_positive():
@@ -84,3 +107,33 @@ def test_convert_round_trip(value, ratio, b, scale1, scale2):
     assert back.a_coeff == pytest.approx(state.a_coeff, rel=1e-12)
     assert back.b_coeff == pytest.approx(state.b_coeff, rel=1e-12)
     assert back.c_coeff == pytest.approx(state.c_coeff, rel=1e-12)
+
+
+BASEBALL = evolve_scenario(baseball_scenario())
+
+
+def test_planck_scaled_tau():
+    assert BASEBALL.tau_si == pytest.approx(4.658e-33, rel=1e-3)
+    oracle = BASEBALL.tau_si / CONSTANTS.planck_length**2
+    assert BASEBALL.tau_planck == oracle
+    assert BASEBALL.tau_planck == pytest.approx(1.78e37, rel=1e-2)
+
+
+def test_planck_scaled_lambda():
+    assert BASEBALL.lam_si == pytest.approx(3.27e79, rel=1e-2)
+    oracle = BASEBALL.lam_si * CONSTANTS.planck_length**4
+    assert BASEBALL.lam_planck == pytest.approx(oracle, rel=1e-12)
+    assert BASEBALL.lam_planck == pytest.approx(2.2e-60, rel=5e-2)
+
+
+def test_planck_scaled_zero_power_identity():
+    # dimensionless figures of the state do not depend on the length unit
+    in_meters = BASEBALL.state.convert(METER)
+    assert mean_excitation(in_meters) == pytest.approx(mean_excitation(BASEBALL.state), rel=1e-12)
+    assert purity(in_meters) == pytest.approx(purity(BASEBALL.state), rel=1e-12)
+
+
+def test_planck_scaled_rejects_non_finite():
+    constants = dataclasses.replace(CONSTANTS, planck_length=math.nan)
+    with pytest.raises(ValueError):
+        evolve_scenario(baseball_scenario(), constants)
