@@ -490,8 +490,9 @@ def tolerance_failures(report: Report, profile: str = "paper") -> list[str]:
 # ---------------------------------------------------------------------------
 # config ingestion
 
+# tuples, not sets: of several missing keys the first one here is reported
 _SCHEMA = {
-    "scenario": {
+    "scenario": (
         "name",
         "initial_dx_m",
         "initial_dx_planck_lengths",
@@ -499,16 +500,16 @@ _SCHEMA = {
         "speed_m_s",
         "sample_times_s",
         "disable_decoherence",
-    },
-    "particle": {"mass_kg", "radius_m"},
-    "air": {"molecular_mass_kg", "mass_density_kg_m3", "temperature_K"},
-    "environment": {
+    ),
+    "particle": ("mass_kg", "radius_m"),
+    "air": ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K"),
+    "environment": (
         "number_density_per_m3",
         "cross_section_m2",
         "relative_velocity_m_s",
         "rms_wavenumber_per_m",
-    },
-    "observation": {"centers_m", "alpha_per_m2", "gamma_per_m2"},
+    ),
+    "observation": ("centers_m", "alpha_per_m2", "gamma_per_m2"),
 }
 
 
@@ -592,7 +593,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     air = None
     environment = None
     if has_air:
-        values = required("air", ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K"))
+        values = required("air", _SCHEMA["air"])
         air = AirModel(
             molecular_mass=values["molecular_mass_kg"],
             mass_density=values["mass_density_kg_m3"],

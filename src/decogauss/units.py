@@ -42,6 +42,9 @@ class PhysicalConstants:
     planck_mass: float      # kg
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         derived_length = math.sqrt(self.hbar * self.G / self.c**3)
         derived_momentum = math.sqrt(self.hbar * self.c**3 / self.G)
         if abs(derived_length - self.planck_length) > 1e-6 * self.planck_length:

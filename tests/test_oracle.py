@@ -19,7 +19,6 @@ from decogauss.oracle import (
     eigendecompose_kernel,
     extract_gaussian_coefficients,
     integrate_master_equation,
-    stable_step_count,
 )
 from decogauss.spectral import (
     eigenstate_amplitude,
@@ -107,7 +106,7 @@ def test_momentum_variance_grows_linearly():
 def test_damping_only_matches_exact_decay():
     lam, tau_end = 1.0, 0.2
     grid = spanning_grid(MIXED, n_points=192)
-    evolved = integrate_master_equation(grid, lam, tau_end, n_steps=2000, terms="damping")
+    evolved = integrate_master_equation(grid, lam, tau_end, terms="damping")
     xs = grid.xs
     y_sq = (xs[:, None] - xs[None, :]) ** 2
     exact = grid.values * np.exp(-1.5 * lam * y_sq * tau_end)
@@ -123,16 +122,28 @@ def test_damping_decays_off_diagonal_monotonically():
     previous = abs(grid.values[i, j])
     state = grid
     for _ in range(4):
-        state = integrate_master_equation(state, lam, 0.05, n_steps=200, terms="damping")
+        state = integrate_master_equation(state, lam, 0.05, terms="damping")
         current = abs(state.values[i, j])
         assert current < previous
         previous = current
 
 
+def test_single_step_over_long_interval_is_stable():
+    # every sub-step runs forward in time, so one step over the whole
+    # interval stays bounded where an explicit scheme blows up
+    grid = spanning_grid(MIXED, n_points=128)
+    evolved = integrate_master_equation(grid, 1.0, 1.0, n_steps=1)
+    assert abs(evolved.trace() - 1.0) < 1e-12
+    assert evolved.hermiticity_error() < 1e-10
+
+
 def test_instability_raises_with_step_index():
     grid = spanning_grid(MIXED, n_points=128)
-    with pytest.raises(IntegrationFailureError) as info:
-        integrate_master_equation(grid, 1.0, 1.0, n_steps=1)
+    values = grid.values.copy()
+    values[3, 5] += 0.1
+    broken = GridState(grid.x_min, grid.x_max, grid.n_points, values)
+    with pytest.raises(IntegrationFailureError, match="Hermiticity") as info:
+        integrate_master_equation(broken, 1.0, 1.0, n_steps=1)
     assert info.value.step == 1
 
 
@@ -146,8 +157,13 @@ def test_integration_rejects_bad_arguments():
         integrate_master_equation(grid, 1.0, 0.1, terms="sideways")
 
 
-def test_convergence_is_fourth_order():
-    # halving the step size must cut the closed-form disagreement ~16x
+def test_convergence_is_fifth_order():
+    # Extrapolated Strang splitting is fourth order in general.  Here the
+    # damping A ~ y^2 and the transport B ~ d_y d_z (y = x - x', z = x + x')
+    # give [A, [A, B]] = 0 and a [B, [B, A]] ~ d_z^2 that commutes with both,
+    # so Strang's error is exactly exp(c dt^3 d_z^2), the extrapolation
+    # leaves O(dt^6) per step, and halving the step cuts the closed-form
+    # disagreement 32x.
     lam, tau_end = 0.8, 0.4
     cubic = cubic_from_initial(minimum_uncertainty_initial(0.6), lam)
     span = 8.0 * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau_end)))
@@ -163,10 +179,9 @@ def test_convergence_is_fourth_order():
             abs(fit.c_coeff - exact.c_coeff) / exact.c_coeff,
         )
 
-    base = stable_step_count(grid, lam, tau_end)
-    coarse = disagreement(base)
-    fine = disagreement(2 * base)
-    assert coarse / fine == pytest.approx(16.0, rel=0.2)
+    coarse = disagreement(4)
+    fine = disagreement(8)
+    assert coarse / fine == pytest.approx(32.0, rel=0.05)
 
 
 # --- extraction -------------------------------------------------------------------
@@ -230,11 +245,3 @@ def test_eigendecompose_rejects_non_hermitian():
     broken = GridState(grid.x_min, grid.x_max, grid.n_points, values)
     with pytest.raises(ValueError):
         eigendecompose_kernel(broken, 4)
-
-
-# --- misc -------------------------------------------------------------------------
-
-def test_stable_step_count_scales_with_tau():
-    grid = spanning_grid(MIXED, n_points=128)
-    assert stable_step_count(grid, 1.0, 0.4) == 2 * stable_step_count(grid, 1.0, 0.2)
-

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +202,30 @@ def test_missing_mass_key():
     with pytest.raises(MissingKeyError) as info:
         load_scenario(text)
     assert info.value.key == "mass_kg"
+
+
+def test_missing_environment_key_does_not_depend_on_hash_seed():
+    text = (
+        "[scenario]\ninitial_dx_m = 1e-14\nevolution_time_s = 1.0\n"
+        "[particle]\nmass_kg = 0.1\n"
+        "[environment]\ncross_section_m2 = 4e-3\nrelative_velocity_m_s = 500.0\n"
+    )
+    code = (
+        "import sys\n"
+        "from decogauss.scenarios import MissingKeyError, load_scenario\n"
+        "try:\n    load_scenario(sys.stdin.read())\n"
+        "except MissingKeyError as exc:\n    print(exc.key)\n"
+    )
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            input=text,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "number_density_per_m3", f"PYTHONHASHSEED={seed}"
 
 
 def test_both_air_and_environment_is_ambiguous():

@@ -53,6 +53,21 @@ def test_inconsistent_constants_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("planck_length", math.nan),
+        ("boltzmann", -1.0),
+        ("g_gravity", math.inf),
+        ("hbar", 0.0),
+        ("c", -math.inf),
+    ],
+)
+def test_nonpositive_or_non_finite_constant_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(CONSTANTS, **{field: value})
+
+
 def test_convert_identity():
     state = GaussianDensityMatrix(0.75, -0.5, 0.0625, METER)
     assert state.convert(METER) == state
@@ -134,6 +149,6 @@ def test_planck_scaled_zero_power_identity():
 
 
 def test_planck_scaled_rejects_non_finite():
-    constants = dataclasses.replace(CONSTANTS, planck_length=math.nan)
     with pytest.raises(ValueError):
+        constants = dataclasses.replace(CONSTANTS, planck_length=math.nan)
         evolve_scenario(baseball_scenario(), constants)
