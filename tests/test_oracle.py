@@ -103,6 +103,15 @@ def test_momentum_variance_grows_linearly():
         )
 
 
+@pytest.mark.parametrize("n_points", [127, 128])
+def test_momentum_variance_is_exact_on_a_resolved_grid(n_points):
+    # the Fourier p^2 matrix is exact for a kernel the grid resolves, at odd
+    # and even n; on this chirped state a sixth-order stencil misses by 1e-2
+    grid = spanning_grid(MIXED, n_points=n_points)
+    exact = 2.0 * MIXED.a_coeff + MIXED.b_coeff**2 / (2.0 * MIXED.c_coeff)
+    assert grid.momentum_variance() == pytest.approx(exact, rel=1e-10)
+
+
 def test_damping_only_matches_exact_decay():
     lam, tau_end = 1.0, 0.2
     grid = spanning_grid(MIXED, n_points=192)
@@ -129,8 +138,8 @@ def test_damping_decays_off_diagonal_monotonically():
 
 
 def test_single_step_over_long_interval_is_stable():
-    # every sub-step runs forward in time, so one step over the whole
-    # interval stays bounded where an explicit scheme blows up
+    # no factor of the splitting exceeds modulus 1, so one step over the
+    # whole interval stays bounded where an explicit scheme blows up
     grid = spanning_grid(MIXED, n_points=128)
     evolved = integrate_master_equation(grid, 1.0, 1.0, n_steps=1)
     assert abs(evolved.trace() - 1.0) < 1e-12
@@ -157,31 +166,38 @@ def test_integration_rejects_bad_arguments():
         integrate_master_equation(grid, 1.0, 0.1, terms="sideways")
 
 
-def test_convergence_is_fifth_order():
-    # Extrapolated Strang splitting is fourth order in general.  Here the
-    # damping A ~ y^2 and the transport B ~ d_y d_z (y = x - x', z = x + x')
-    # give [A, [A, B]] = 0 and a [B, [B, A]] ~ d_z^2 that commutes with both,
-    # so Strang's error is exactly exp(c dt^3 d_z^2), the extrapolation
-    # leaves O(dt^6) per step, and halving the step cuts the closed-form
-    # disagreement 32x.
+def _convergence_problem(sigmas=8.0):
     lam, tau_end = 0.8, 0.4
     cubic = cubic_from_initial(minimum_uncertainty_initial(0.6), lam)
-    span = 8.0 * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau_end)))
+    span = sigmas * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau_end)))
     grid = discretize(evolve(cubic, 0.0), -span, span, 96)
-    exact = evolve(cubic, tau_end)
+    return grid, lam, tau_end, evolve(cubic, tau_end)
 
-    def disagreement(n_steps):
+
+def test_result_does_not_depend_on_step_count():
+    # Strang's error on this equation is exactly exp(-(lam/2) h^3 d_z^2) per
+    # step, which the integrator removes, so one step is as good as sixteen
+    grid, lam, tau_end, exact = _convergence_problem()
+    for n_steps in (1, 2, 4, 8, 16):
         evolved = integrate_master_equation(grid, lam, tau_end, n_steps=n_steps)
         fit = extract_gaussian_coefficients(evolved)
-        return max(
-            abs(fit.a_coeff - exact.a_coeff) / exact.a_coeff,
-            abs(fit.b_coeff - exact.b_coeff) / abs(exact.b_coeff),
-            abs(fit.c_coeff - exact.c_coeff) / exact.c_coeff,
-        )
+        assert abs(fit.a_coeff - exact.a_coeff) <= 1e-13 * exact.a_coeff
+        assert abs(fit.b_coeff - exact.b_coeff) <= 1e-13 * abs(exact.b_coeff)
+        assert abs(fit.c_coeff - exact.c_coeff) <= 1e-13 * exact.c_coeff
 
-    coarse = disagreement(4)
-    fine = disagreement(8)
-    assert coarse / fine == pytest.approx(32.0, rel=0.05)
+
+def test_two_half_intervals_equal_one_interval():
+    # Pins the correction coefficient without the closed form: a wrong one
+    # leaves an error of order tau h^2, so one call over tau and two calls
+    # over tau/2 differ.  The domain is 10 standard deviations wide: at 8 the
+    # diagonal tail reaches the periodic edge at exp(-32) of the peak, and
+    # the wrap alone moves the kernel by ~4e-13 of it.
+    grid, lam, tau_end, _ = _convergence_problem(sigmas=10.0)
+    once = integrate_master_equation(grid, lam, tau_end).values
+    halves = integrate_master_equation(
+        integrate_master_equation(grid, lam, 0.5 * tau_end), lam, 0.5 * tau_end
+    ).values
+    assert np.max(np.abs(once - halves)) <= 1e-13 * np.max(np.abs(once))
 
 
 # --- extraction -------------------------------------------------------------------
