@@ -41,14 +41,12 @@ from .spectral import (
     EigenstateSpec,
     SpectralSummary,
     eigenstate_amplitude,
-    eigenstate_position_variance,
     eigenstate_spec,
     eigenvalue,
     mean_excitation,
     spectral_summary,
     truncation_index,
     von_neumann_entropy,
-    weighted_position_variance,
 )
 from .units import CONSTANTS, METER, PLANCK_LENGTH, LengthUnit
 

@@ -13,10 +13,9 @@ ledger.
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple, Optional
 
 from .averaging import phase_average
@@ -39,6 +38,7 @@ from .model import (
     lambda_coefficient,
     lambda_composite_crosscheck,
     tau_from_time,
+    _require_positive,
 )
 from .observation import measure_profile
 from .spectral import mean_excitation, spectral_summary, von_neumann_entropy
@@ -84,8 +84,10 @@ class ConfigParseError(ConfigError):
 
 
 class MissingKeyError(ConfigError):
-    def __init__(self, key: str):
-        super().__init__(f"missing required config key: {key}")
+    """``key`` is the bare key; the message names it as ``section.key``."""
+
+    def __init__(self, key: str, section: Optional[str] = None):
+        super().__init__(f"missing required config key: {section + '.' if section else ''}{key}")
         self.key = key
 
 
@@ -105,6 +107,13 @@ class ObservationFamilySpec:
     alpha_per_m2: float
     gamma_per_m2: float
 
+    def __post_init__(self):
+        if not (self.centers_m and all(math.isfinite(c) for c in self.centers_m)):
+            raise ValueError(f"centers_m must be nonempty and finite, got {self.centers_m!r}")
+        if not (math.isfinite(self.alpha_per_m2) and self.alpha_per_m2 >= 0.0):
+            raise ValueError(f"alpha_per_m2 must be nonnegative, got {self.alpha_per_m2!r}")
+        _require_positive(gamma_per_m2=self.gamma_per_m2)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -122,12 +131,18 @@ class Scenario:
     def __post_init__(self):
         if (self.air is None) == (self.environment is None):
             raise ValueError("exactly one of air or environment must be present")
-        if not (math.isfinite(self.evolution_time_s) and self.evolution_time_s > 0.0):
-            raise ValueError("evolution_time_s must be positive")
-        if not (math.isfinite(self.initial_dx_m) and self.initial_dx_m > 0.0):
-            raise ValueError("initial_dx_m must be positive")
-        if not all(math.isfinite(t) and t >= 0.0 for t in self.sample_times_s or ()):
-            raise ValueError(f"sample_times_s must be finite and nonnegative, got {self.sample_times_s!r}")
+        _require_positive(evolution_time_s=self.evolution_time_s, initial_dx_m=self.initial_dx_m)
+        if self.speed_m_s is not None:
+            _require_positive(speed_m_s=self.speed_m_s)
+        if self.sample_times_s is not None and not (
+            self.sample_times_s and all(math.isfinite(t) and t >= 0.0 for t in self.sample_times_s)
+        ):
+            raise ValueError(f"sample_times_s must be nonempty, finite and nonnegative, got {self.sample_times_s!r}")
+        if self.air is not None and self.particle.radius is None:
+            raise ValueError("air needs particle.radius to derive a cross section")
+        # dump_scenario writes the name on one line, and the config reader strips it
+        if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
+            raise ValueError(f"name must be one line without outer whitespace, got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +193,7 @@ class Report:
 
 def flight_time(speed: float, constants: PhysicalConstants = CONSTANTS) -> float:
     """Level-ground flight time of a 45-degree launch: sqrt(2)*v/g."""
-    if not (math.isfinite(speed) and speed > 0.0):
-        raise ValueError(f"speed must be positive, got {speed!r}")
+    _require_positive(speed_m_s=speed)
     return math.sqrt(2.0) * speed / constants.g_gravity
 
 
@@ -490,50 +504,87 @@ def tolerance_failures(report: Report, profile: str = "paper") -> list[str]:
 # ---------------------------------------------------------------------------
 # config ingestion
 
-# tuples, not sets: of several missing keys the first one here is reported
-_SCHEMA = {
-    "scenario": (
-        "name",
-        "initial_dx_m",
-        "initial_dx_planck_lengths",
-        "evolution_time_s",
-        "speed_m_s",
-        "sample_times_s",
-        "disable_decoherence",
-    ),
-    "particle": ("mass_kg", "radius_m"),
-    "air": ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K"),
-    "environment": (
-        "number_density_per_m3",
-        "cross_section_m2",
-        "relative_velocity_m_s",
-        "rms_wavenumber_per_m",
-    ),
-    "observation": ("centers_m", "alpha_per_m2", "gamma_per_m2"),
-}
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigParseError(f"value of {section}.{key} is not a number: {raw!r}") from None
+        raise ValueError(f"is not a number: {raw!r}") from None
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _numbers(raw: str) -> tuple[float, ...]:
     tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not tokens:
-        raise ConfigParseError(f"value of {section}.{key} is an empty list")
-    return tuple(_parse_float(section, key, tok) for tok in tokens)
+        raise ValueError("is an empty list")
+    return tuple(_number(tok) for tok in tokens)
 
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+def _flag(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise ConfigParseError(f"value of {section}.{key} is not a boolean: {raw!r}")
+    raise ValueError(f"is not a boolean: {raw!r}")
+
+
+# One row per config key: (section, key, keyword argument of the section's
+# dataclass, parser raising ValueError).  Rows are in dump order; of several
+# missing keys the first row's is reported.  A key is required when its
+# dataclass field has no default.  [scenario] has no dataclass of its own: its
+# keys feed Scenario and initial_dx_planck_lengths is converted, so the
+# cross-key rules in load_scenario decide what it requires.
+_KEYS = (
+    ("scenario", "name", "name", str),
+    ("scenario", "initial_dx_m", "initial_dx_m", _number),
+    ("scenario", "initial_dx_planck_lengths", "initial_dx_planck_lengths", _number),
+    ("scenario", "evolution_time_s", "evolution_time_s", _number),
+    ("scenario", "speed_m_s", "speed_m_s", _number),
+    ("scenario", "sample_times_s", "sample_times_s", _numbers),
+    ("scenario", "disable_decoherence", "disable_decoherence", _flag),
+    ("particle", "mass_kg", "mass", _number),
+    ("particle", "radius_m", "radius", _number),
+    ("air", "molecular_mass_kg", "molecular_mass", _number),
+    ("air", "mass_density_kg_m3", "mass_density", _number),
+    ("air", "temperature_K", "temperature", _number),
+    ("environment", "number_density_per_m3", "number_density", _number),
+    ("environment", "cross_section_m2", "cross_section", _number),
+    ("environment", "relative_velocity_m_s", "mean_relative_velocity", _number),
+    ("environment", "rms_wavenumber_per_m", "rms_wavenumber", _number),
+    ("observation", "centers_m", "centers_m", _numbers),
+    ("observation", "alpha_per_m2", "alpha_per_m2", _number),
+    ("observation", "gamma_per_m2", "gamma_per_m2", _number),
+)
+
+# section -> dataclass; each but [scenario] is also the Scenario attribute
+# that holds it
+_SECTIONS = {
+    "scenario": None,
+    "particle": FreeParticle,
+    "air": AirModel,
+    "environment": ScatteringEnvironment,
+    "observation": ObservationFamilySpec,
+}
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """The section's keys parsed into keyword arguments, in table order; an
+    absent section has no keys, so its required ones are reported missing."""
+    values = parser[section] if parser.has_section(section) else {}
+    cls = _SECTIONS[section]
+    required = {field.name for field in fields(cls) if field.default is MISSING} if cls else ()
+    kwargs = {}
+    for row_section, key, name, parse in _KEYS:
+        if row_section != section:
+            continue
+        if key not in values:
+            if name in required:
+                raise MissingKeyError(key, section)
+            continue
+        try:
+            kwargs[name] = parse(values[key])
+        except ValueError as exc:
+            raise ConfigParseError(f"value of {section}.{key} {exc}") from None
+    return kwargs
 
 
 def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) -> Scenario:
@@ -542,157 +593,79 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     Keys carry their units in their names; unknown keys are rejected by
     name, missing keys and ambiguous alternatives raise distinct errors.
     """
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str  # keys carry units in their names; keep case
+    # keys carry units in their names, so keep their case; no section can be
+    # named "", so [DEFAULT] is an ordinary section whose keys are not copied
+    # into the others and are reported as unknown under its own name
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
+    parser.optionxform = str
     try:
         parser.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigParseError(str(exc), line=getattr(exc, "lineno", None)) from exc
 
-    unknown = []
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            unknown.extend(f"{section}.{key}" for key in parser[section])
-            continue
-        unknown.extend(
-            f"{section}.{key}" for key in parser[section] if key not in _SCHEMA[section]
-        )
+    known = {(section, key) for section, key, _, _ in _KEYS}
+    unknown = [
+        f"{section}.{key}"
+        for section in parser.sections()
+        for key in parser[section]
+        if (section, key) not in known
+    ]
     if unknown:
         raise UnknownKeyError(sorted(unknown))
 
-    def get(section: str, key: str) -> Optional[str]:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
-
-    def optional(section: str, key: str, parse=_parse_float):
-        raw = get(section, key)
-        return None if raw is None else parse(section, key, raw)
-
-    def required(section: str, keys, parse=_parse_float) -> dict:
-        """Every key of a section, parsed in order; the first missing key raises."""
-        values = {}
-        for key in keys:
-            raw = get(section, key)
-            if raw is None:
-                raise MissingKeyError(key)
-            values[key] = parse(section, key, raw)
-        return values
-
-    particle = FreeParticle(
-        mass=required("particle", ("mass_kg",))["mass_kg"],
-        radius=optional("particle", "radius_m"),
-    )
-
+    settings = _read_section(parser, "scenario")
+    particle = FreeParticle(**_read_section(parser, "particle"))
     has_air = parser.has_section("air")
-    has_env = parser.has_section("environment")
-    if has_air and has_env:
-        raise AmbiguityError("config supplies both an [air] and an [environment] block")
-    if not has_air and not has_env:
+    if has_air == parser.has_section("environment"):
+        if has_air:
+            raise AmbiguityError("config supplies both an [air] and an [environment] block")
         raise MissingKeyError("air or environment section")
-    air = None
-    environment = None
-    if has_air:
-        values = required("air", _SCHEMA["air"])
-        air = AirModel(
-            molecular_mass=values["molecular_mass_kg"],
-            mass_density=values["mass_density_kg_m3"],
-            temperature=values["temperature_K"],
-        )
-        if particle.radius is None:
-            raise MissingKeyError("radius_m")
-    else:
-        values = required("environment", _SCHEMA["environment"])
-        environment = ScatteringEnvironment(
-            number_density=values["number_density_per_m3"],
-            cross_section=values["cross_section_m2"],
-            mean_relative_velocity=values["relative_velocity_m_s"],
-            rms_wavenumber=values["rms_wavenumber_per_m"],
-        )
+    for section in ("air", "environment", "observation"):
+        if parser.has_section(section):
+            settings[section] = _SECTIONS[section](**_read_section(parser, section))
+    if has_air and particle.radius is None:
+        raise MissingKeyError("radius_m", "particle")
 
-    if all(get("scenario", key) is not None for key in ("initial_dx_m", "initial_dx_planck_lengths")):
-        raise AmbiguityError(
-            "config supplies both initial_dx_m and initial_dx_planck_lengths"
-        )
-    initial_dx_m = optional("scenario", "initial_dx_m")
-    if initial_dx_m is None:
-        dx_planck = optional("scenario", "initial_dx_planck_lengths")
-        if dx_planck is None:
-            raise MissingKeyError("initial_dx_m")
-        initial_dx_m = dx_planck * constants.planck_length
+    dx_planck = settings.pop("initial_dx_planck_lengths", None)
+    if dx_planck is not None:
+        if "initial_dx_m" in settings:
+            raise AmbiguityError("config supplies both initial_dx_m and initial_dx_planck_lengths")
+        settings["initial_dx_m"] = dx_planck * constants.planck_length
+    elif "initial_dx_m" not in settings:
+        raise MissingKeyError("initial_dx_m", "scenario")
+    if "evolution_time_s" not in settings:
+        if "speed_m_s" not in settings:
+            raise MissingKeyError("evolution_time_s", "scenario")
+        settings["evolution_time_s"] = flight_time(settings["speed_m_s"], constants)
+    return Scenario(particle=particle, **settings)
 
-    speed = optional("scenario", "speed_m_s")
-    evolution_time = optional("scenario", "evolution_time_s")
-    if evolution_time is None:
-        if speed is None:
-            raise MissingKeyError("evolution_time_s")
-        evolution_time = flight_time(speed, constants)
-    sample_times = optional("scenario", "sample_times_s", _parse_float_list)
-    disable = optional("scenario", "disable_decoherence", _parse_bool) or False
 
-    observation = None
-    if parser.has_section("observation"):
-        values = required("observation", _SCHEMA["observation"], parse=lambda section, key, raw: raw)
-        observation = ObservationFamilySpec(
-            centers_m=_parse_float_list("observation", "centers_m", values["centers_m"]),
-            alpha_per_m2=_parse_float("observation", "alpha_per_m2", values["alpha_per_m2"]),
-            gamma_per_m2=_parse_float("observation", "gamma_per_m2", values["gamma_per_m2"]),
-        )
-
-    return Scenario(
-        particle=particle,
-        initial_dx_m=initial_dx_m,
-        evolution_time_s=evolution_time,
-        air=air,
-        environment=environment,
-        speed_m_s=speed,
-        sample_times_s=sample_times,
-        observation=observation,
-        disable_decoherence=disable,
-        name=get("scenario", "name") or "",
-    )
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(item) for item in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to config text; load_scenario(dump_scenario(s))
-    reproduces s exactly (floats via repr)."""
-    out = io.StringIO()
-    out.write("[scenario]\n")
-    if scenario.name:
-        out.write(f"name = {scenario.name}\n")
-    out.write(f"initial_dx_m = {scenario.initial_dx_m!r}\n")
-    out.write(f"evolution_time_s = {scenario.evolution_time_s!r}\n")
-    if scenario.speed_m_s is not None:
-        out.write(f"speed_m_s = {scenario.speed_m_s!r}\n")
-    if scenario.sample_times_s is not None:
-        out.write(
-            "sample_times_s = " + ", ".join(repr(t) for t in scenario.sample_times_s) + "\n"
-        )
-    if scenario.disable_decoherence:
-        out.write("disable_decoherence = true\n")
-    out.write("\n[particle]\n")
-    out.write(f"mass_kg = {scenario.particle.mass!r}\n")
-    if scenario.particle.radius is not None:
-        out.write(f"radius_m = {scenario.particle.radius!r}\n")
-    if scenario.air is not None:
-        out.write("\n[air]\n")
-        out.write(f"molecular_mass_kg = {scenario.air.molecular_mass!r}\n")
-        out.write(f"mass_density_kg_m3 = {scenario.air.mass_density!r}\n")
-        out.write(f"temperature_K = {scenario.air.temperature!r}\n")
-    if scenario.environment is not None:
-        env = scenario.environment
-        out.write("\n[environment]\n")
-        out.write(f"number_density_per_m3 = {env.number_density!r}\n")
-        out.write(f"cross_section_m2 = {env.cross_section!r}\n")
-        out.write(f"relative_velocity_m_s = {env.mean_relative_velocity!r}\n")
-        out.write(f"rms_wavenumber_per_m = {env.rms_wavenumber!r}\n")
-    if scenario.observation is not None:
-        obs = scenario.observation
-        out.write("\n[observation]\n")
-        out.write("centers_m = " + ", ".join(repr(c) for c in obs.centers_m) + "\n")
-        out.write(f"alpha_per_m2 = {obs.alpha_per_m2!r}\n")
-        out.write(f"gamma_per_m2 = {obs.gamma_per_m2!r}\n")
-    return out.getvalue()
+    """Serialize a scenario to config text, one line per table row whose
+    field differs from its default; load_scenario(dump_scenario(s)) == s
+    (floats via repr)."""
+    blocks = []
+    for section in _SECTIONS:
+        obj = scenario if section == "scenario" else getattr(scenario, section)
+        if obj is None:
+            continue
+        defaults = {field.name: field.default for field in fields(obj)}
+        lines = [f"[{section}]"]
+        for row_section, key, name, _ in _KEYS:
+            if row_section == section and name in defaults:
+                value = getattr(obj, name)
+                if value != defaults[name]:
+                    lines.append(f"{key} = {_format(value)}")
+        blocks.append("".join(line + "\n" for line in lines))
+    return "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------

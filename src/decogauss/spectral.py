@@ -28,8 +28,6 @@ __all__ = [
     "spectral_summary",
     "eigenstate_spec",
     "eigenstate_amplitude",
-    "eigenstate_position_variance",
-    "weighted_position_variance",
 ]
 
 #: Ladders are never enumerated past this index; callers working at
@@ -195,14 +193,3 @@ def eigenstate_amplitude(spec: EigenstateSpec, x):
         raise OverflowError(f"Hermite recurrence overflowed at n={spec.index}")
     return alpha**0.25 * value * np.exp(-1j * spec.phase_coefficient * x * x)
 
-
-def eigenstate_position_variance(state: GaussianDensityMatrix, n: int) -> float:
-    """<x^2> in the n-th eigenstate: (2n+1)/(8 sqrt(A C))."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (2 * n + 1) / (8.0 * math.sqrt(state.a_coeff * state.c_coeff))
-
-
-def weighted_position_variance(state: GaussianDensityMatrix) -> float:
-    """Eigenvalue-weighted variance (2N+1)/(8 sqrt(AC)) = 1/(8C) = X."""
-    return 1.0 / (8.0 * state.c_coeff)

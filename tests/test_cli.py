@@ -131,6 +131,17 @@ def test_invalid_sample_time_exits_3(tmp_path):
     assert "sample_times_s" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "measure"])
+def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
+    config = tmp_path / "speed.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace("speed_m_s = 44.704", "speed_m_s = -5.0")
+        + "\n[observation]\ncenters_m = 0.0\nalpha_per_m2 = 1.0\ngamma_per_m2 = 1e-5\n"
+    )
+    assert main([command, "--config", str(config)]) == 3
+    assert "speed_m_s" in capsys.readouterr().err
+
+
 def test_measure_requires_observation_section(tmp_path):
     config = tmp_path / "plain.ini"
     config.write_text(dump_scenario(baseball_scenario()))

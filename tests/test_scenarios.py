@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from decogauss.model import ScatteringEnvironment
+from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment
 from decogauss.scenarios import (
+    _KEYS,
     AmbiguityError,
     ConfigParseError,
     MissingKeyError,
@@ -26,6 +30,7 @@ from decogauss.scenarios import (
 from decogauss.units import CONSTANTS
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +202,109 @@ def test_dump_load_round_trip_with_extras():
     assert load_scenario(dump_scenario(scenario)) == scenario
 
 
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def constructed_scenarios(draw):
+    """Scenarios with every optional field drawn; what the constructors
+    reject is discarded, so the property covers all that they accept."""
+    try:
+        particle = FreeParticle(draw(POSITIVE), draw(st.none() | POSITIVE))
+        if draw(st.booleans()):
+            medium = {"air": AirModel(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))}
+        else:
+            medium = {"environment": ScatteringEnvironment(*(draw(POSITIVE) for _ in range(4)))}
+        observation = None
+        if draw(st.booleans()):
+            observation = ObservationFamilySpec(
+                tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))),
+                draw(st.floats(min_value=0.0, allow_infinity=False)),
+                draw(POSITIVE),
+            )
+        sample_times = draw(st.none() | st.lists(st.floats(0.0, allow_infinity=False), max_size=4))
+        return Scenario(
+            particle=particle,
+            initial_dx_m=draw(POSITIVE),
+            evolution_time_s=draw(POSITIVE),
+            speed_m_s=draw(st.none() | POSITIVE),
+            sample_times_s=None if sample_times is None else tuple(sample_times),
+            observation=observation,
+            disable_decoherence=draw(st.booleans()),
+            name=draw(st.text(max_size=12)),
+            **medium,
+        )
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=constructed_scenarios())
+def test_dump_load_round_trip_property(scenario):
+    assert load_scenario(dump_scenario(scenario)) == scenario
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("name", " padded "),
+        ("name", "two\nlines"),
+        ("sample_times_s", ()),
+        ("speed_m_s", -5.0),
+        ("speed_m_s", math.nan),
+        ("particle", FreeParticle(0.1459553)),  # [air] needs a radius
+    ],
+)
+def test_constructor_rejects_what_a_config_cannot_carry(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(baseball_scenario(), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "centers, alpha, gamma, field",
+    [((), 1.0, 1.0, "centers_m"), ((0.0,), math.nan, 1.0, "alpha_per_m2"),
+     ((0.0,), 1.0, 0.0, "gamma_per_m2")],
+)
+def test_observation_spec_rejects_bad_values(centers, alpha, gamma, field):
+    with pytest.raises(ValueError, match=field):
+        ObservationFamilySpec(centers, alpha, gamma)
+
+
+@pytest.mark.parametrize("time_line", ["evolution_time_s = 6.446748185397342\n", ""])
+@pytest.mark.parametrize("bad", ["-5.0", "nan", "0.0"])
+def test_bad_speed_rejected_by_name(bad, time_line):
+    """With or without evolution_time_s, which is otherwise derived from it."""
+    text = dump_scenario(baseball_scenario()).replace(
+        "evolution_time_s = 6.446748185397342\n", time_line
+    ).replace("speed_m_s = 44.704", f"speed_m_s = {bad}")
+    with pytest.raises(ValueError, match="speed_m_s"):
+        load_scenario(text)
+
+
+def readme_config_section():
+    text = README.read_text()
+    return text[text.index("## Scenario config"):text.index("## Report schema")]
+
+
+def test_readme_config_example_loads():
+    block = readme_config_section().split("```ini\n", 1)[1].split("```", 1)[0]
+    scenario = load_scenario(block)
+    assert dataclasses.replace(scenario, observation=None) == baseball_scenario()
+    assert scenario.observation == ObservationFamilySpec((-200.0, 0.0, 200.0), 1.0, 1e-5)
+
+
+def test_readme_key_table_lists_every_key():
+    rows = [line.split("|") for line in readme_config_section().splitlines()]
+    listed = [(row[1].strip(), row[2].strip()) for row in rows if len(row) == 6][2:]
+    assert listed == [(section, key) for section, key, _, _ in _KEYS]
+
+
 def test_missing_mass_key():
     text = dump_scenario(baseball_scenario()).replace("mass_kg = 0.1459553\n", "")
     with pytest.raises(MissingKeyError) as info:
         load_scenario(text)
     assert info.value.key == "mass_kg"
+    assert str(info.value) == "missing required config key: particle.mass_kg"
 
 
 def test_missing_environment_key_does_not_depend_on_hash_seed():
@@ -249,6 +352,13 @@ def test_unknown_keys_listed_by_name():
     with pytest.raises(UnknownKeyError) as info2:
         load_scenario(text2)
     assert any("mass_pounds" in key for key in info2.value.keys)
+
+
+def test_default_section_keys_are_reported_under_default():
+    text = "[DEFAULT]\nname = x\n\n" + dump_scenario(baseball_scenario())
+    with pytest.raises(UnknownKeyError) as info:
+        load_scenario(text)
+    assert info.value.keys == ("DEFAULT.name",)
 
 
 def test_parse_error_on_garbage():

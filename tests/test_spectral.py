@@ -10,14 +10,12 @@ from decogauss.evolution import CubicSolution, GaussianDensityMatrix, evolve, pu
 from decogauss.spectral import (
     captured_mass,
     eigenstate_amplitude,
-    eigenstate_position_variance,
     eigenstate_spec,
     eigenvalue,
     mean_excitation,
     spectral_summary,
     truncation_index,
     von_neumann_entropy,
-    weighted_position_variance,
 )
 from decogauss.units import PLANCK_LENGTH
 from _quad import quad_overlap
@@ -215,37 +213,24 @@ def test_eigenstate_recurrence_stable_to_large_n():
 
 # --- eigenstate variances -------------------------------------------------------
 
-def test_eigenstate_variance_pure_ground():
-    state = GaussianDensityMatrix(0.5, 0.0, 0.5)
-    assert eigenstate_position_variance(state, 0) == pytest.approx(0.25, rel=1e-14)
-
-
 def test_eigenstate_variance_hand_value_and_quadrature():
+    # <x^2> in the n-th eigenstate is (2n+1)/(8 sqrt(A C))
     want = 7.0 / (8.0 * math.sqrt(0.75 * 0.0625))
-    assert eigenstate_position_variance(MIXED, 3) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(4.0415, rel=1e-4)
     xs = np.linspace(-16, 16, 8001)
     h = xs[1] - xs[0]
     amp = eigenstate_amplitude(eigenstate_spec(MIXED, 3), xs)
     quad = float(np.sum(xs**2 * np.abs(amp) ** 2) * h)
-    assert eigenstate_position_variance(MIXED, 3) == pytest.approx(quad, rel=1e-8)
-
-
-def test_eigenstate_variance_baseball_ground():
-    state = GaussianDensityMatrix(1.99e-23, -2.8e-38, 3.93e-76, PLANCK_LENGTH)
-    variance_m2 = eigenstate_position_variance(state, 0) * PLANCK_LENGTH.scale_m**2
-    assert 0.5 * 4e-22 <= variance_m2 <= 2.0 * 4e-22  # ~ (2e-11 m)^2
-
-
-def test_weighted_variance_pure():
-    assert weighted_position_variance(GaussianDensityMatrix(0.5, 0.0, 0.5)) == 0.25
+    assert want == pytest.approx(quad, rel=1e-8)
 
 
 def test_weighted_variance_equals_cubic_variance():
     cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
     state = evolve(cubic, 1.0)
-    assert weighted_position_variance(state) == pytest.approx(2.0, rel=1e-12)
-    assert weighted_position_variance(state) == pytest.approx(cubic.x_value(1.0), rel=1e-12)
+    # the eigenvalue-weighted variance (2N+1)/(8 sqrt(AC)) is 1/(8C)
+    weighted = 1.0 / (8.0 * state.c_coeff)
+    assert weighted == pytest.approx(2.0, rel=1e-12)
+    assert weighted == pytest.approx(cubic.x_value(1.0), rel=1e-12)
 
 
 # --- purity consistency ---------------------------------------------------------

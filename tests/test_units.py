@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decogauss.evolution import GaussianDensityMatrix, purity
 from decogauss.scenarios import baseball_scenario, evolve_scenario
-from decogauss.spectral import mean_excitation, weighted_position_variance
+from decogauss.spectral import mean_excitation
 from decogauss.units import (
     CONSTANTS,
     METER,
@@ -87,7 +87,7 @@ def test_convert_288_meters():
     assert spread_planck == pytest.approx(1.782e37, rel=1e-3)
     c = 1.0 / (8.0 * spread_planck**2)  # position variance 1/(8C)
     state = GaussianDensityMatrix(c, 0.0, c, PLANCK_LENGTH)
-    got = math.sqrt(weighted_position_variance(state.convert(METER)))
+    got = math.sqrt(1.0 / (8.0 * state.convert(METER).c_coeff))
     assert got == pytest.approx(288.0, rel=1e-12)
 
 
