@@ -4,6 +4,11 @@ Closed-form evolution under the scattering master equation, spectral
 decomposition (geometric eigenvalue ladder, oscillator eigenstates, von
 Neumann entropy), phase averaging, localized observation-operator
 measures, and an independent grid-PDE oracle.
+
+The closed form runs on `math` alone.  numpy is imported by the oracle and
+inside the methods that build arrays (kernels, densities, eigenstate
+amplitudes), so importing the package or running a closed-form CLI
+subcommand does not load it.
 """
 
 from .averaging import phase_average

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .units import METER, LengthUnit
 
 __all__ = [
@@ -78,6 +76,8 @@ class GaussianDensityMatrix:
 
     def kernel(self, x, xp):
         """Complex kernel values rho(x, x'); arguments broadcast."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
         y = x - xp
@@ -87,6 +87,8 @@ class GaussianDensityMatrix:
 
     def diagonal_density(self, x):
         """Position probability density rho(x, x) = sqrt(4C/pi) exp(-4C x^2)."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return self.norm * np.exp(-4.0 * self.c_coeff * x * x)
 

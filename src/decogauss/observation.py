@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .evolution import GaussianDensityMatrix
 from .units import METER, LengthUnit, UnitMismatchError
 
@@ -52,6 +50,8 @@ class ObservationOperator:
 
     def kernel(self, x, xp):
         """Operator kernel values; arguments broadcast."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
         y = x - xp

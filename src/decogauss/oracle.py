@@ -205,7 +205,7 @@ def integrate_master_equation(
     damp = np.exp(-1.5 * lam * h * (xs[:, None] - xs[None, :]) ** 2)
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
     half = np.exp(0.25j * h * (k[None, :] ** 2 - k[:, None] ** 2))
-    whole = half * half
+    whole = half * half if n_steps > 1 else None
     factor = half * np.exp(-0.125 * lam * n_steps * h**3 * (k[:, None] + k[None, :]) ** 2)
 
     def flight(rho, factor):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .evolution import GaussianDensityMatrix
 from .units import METER, LengthUnit
 
@@ -167,6 +165,8 @@ def eigenstate_amplitude(spec: EigenstateSpec, x):
     would silently zero the outer lobes.  Scaled, the recurrence is good
     to n well past 1e4.
     """
+    import numpy as np
+
     alpha = 2.0 * spec.width_parameter
     x = np.asarray(x, dtype=float)
     u = math.sqrt(alpha) * x

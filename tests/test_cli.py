@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from decogauss import oracle
 from decogauss.cli import main
 from decogauss.scenarios import baseball_scenario, dump_scenario
 
@@ -155,6 +156,24 @@ def test_oracle_check_passes():
     assert "worst disagreement" in result.stdout
 
 
+def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):
+    def unstable(*args, **kwargs):
+        raise oracle.IntegrationFailureError("instability detected at step 1/1", step=1)
+
+    monkeypatch.setattr(oracle, "integrate_master_equation", unstable)
+    assert main(["oracle-check", "--samples", "1"]) == 3
+    assert capsys.readouterr().err == "validation error: instability detected at step 1/1\n"
+
+
+def test_oracle_check_other_runtime_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise oracle.DecompositionError("not an integration failure")
+
+    monkeypatch.setattr(oracle, "integrate_master_equation", broken)
+    with pytest.raises(oracle.DecompositionError):
+        main(["oracle-check", "--samples", "1"])
+
+
 def test_oracle_check_rejects_zero_samples():
     result = run_cli("oracle-check", "--samples", "0")
     assert result.returncode == 3
@@ -169,3 +188,74 @@ def test_spectrum_rejects_csv_format():
 def test_unknown_subcommand_exits_2():
     result = run_cli("frobnicate")
     assert result.returncode == 2
+
+
+# The closed-form subcommands run on `math` alone; only oracle-check and the
+# array methods import numpy.  These run in fresh processes, where numpy is
+# not already loaded by the test session.
+
+BLOCK_NUMPY = """
+import sys
+
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockNumpy())
+from decogauss.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_cli_without_numpy(*args):
+    return subprocess.run(
+        [sys.executable, "-c", BLOCK_NUMPY, *args], capture_output=True
+    )
+
+
+def test_import_loads_no_numpy():
+    code = (
+        "import sys, decogauss, decogauss.cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+ENVIRONMENT = str(GOLDEN / "environment.ini")
+GOLDEN_COMMANDS = {
+    **{f"baseball.{fmt}": ("baseball", "--format", fmt, "--samples", "8")
+       for fmt in ("text", "csv", "json")},
+    **{f"environment.{fmt}": ("run", "--config", ENVIRONMENT, "--format", fmt, "--samples", "8")
+       for fmt in ("text", "csv", "json")},
+    **{f"environment_measure.{fmt}": ("measure", "--config", ENVIRONMENT, "--format", fmt)
+       for fmt in ("csv", "json")},
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_COMMANDS)
+def test_closed_form_subcommands_run_without_numpy(golden):
+    result = run_cli_without_numpy(*GOLDEN_COMMANDS[golden])
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_spectrum_runs_without_numpy():
+    result = run_cli_without_numpy(
+        "spectrum", "--A", "0.75", "--B", "-0.5", "--C", "0.0625", "--format", "json"
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert json.loads(result.stdout)["truncation_index"] >= 1
+
+
+def test_oracle_check_is_blocked_without_numpy():
+    # the numpy blocker is live: the one subcommand that needs arrays fails
+    result = run_cli_without_numpy("oracle-check", "--samples", "1")
+    assert result.returncode != 0
+    assert b"numpy is blocked" in result.stderr
