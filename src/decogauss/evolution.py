@@ -83,7 +83,10 @@ class GaussianDensityMatrix:
         y = x - xp
         z = x + xp
         real = self.a_coeff * y * y + self.c_coeff * z * z
-        return self.norm * np.exp(-real) * np.exp(-1j * self.b_coeff * y * z)
+        # y z = x^2 - x'^2, so the phase separates into one factor per
+        # argument: on a grid that is two length-n complex exps, not n^2
+        phase = np.exp(-1j * self.b_coeff * x * x) * np.exp(1j * self.b_coeff * xp * xp)
+        return self.norm * np.exp(-real) * phase
 
     def diagonal_density(self, x):
         """Position probability density rho(x, x) = sqrt(4C/pi) exp(-4C x^2)."""

@@ -70,6 +70,13 @@ class DecompositionError(RuntimeError):
     """Numerical eigendecomposition failed."""
 
 
+def _hermiticity_error(values: np.ndarray) -> float:
+    """max |rho - rho^H|.  The adjoint is written out contiguously once, so
+    the subtraction does not read a transposed view column by column."""
+    adjoint = np.conjugate(values.T, order="C")
+    return float(np.max(np.abs(np.subtract(values, adjoint, out=adjoint))))
+
+
 @dataclass
 class GridState:
     """Discretized complex rho(x, x'): row index is x, column index is x'."""
@@ -81,6 +88,9 @@ class GridState:
     unit: LengthUnit = METER
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.values.shape != (self.n_points, self.n_points):
@@ -100,7 +110,7 @@ class GridState:
         return float(np.real(np.trace(self.values)) * self.spacing)
 
     def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
+        return _hermiticity_error(self.values)
 
     def purity(self) -> float:
         """tr(rho^2) = h^2 sum |rho_ij|^2 for Hermitian kernels."""
@@ -155,7 +165,7 @@ def discretize(
             f"({sigma:.4g}); trace deficit {deficit:.3e}",
             trace_deficit=deficit,
         )
-    if deficit > 1e-8:
+    if not deficit <= 1e-8:
         raise DomainCoverageError(
             f"grid trace deviates from 1 by {deficit:.3e}", trace_deficit=deficit
         )
@@ -197,26 +207,32 @@ def integrate_master_equation(
     if terms not in ("full", "damping"):
         raise ValueError(f"terms must be 'full' or 'damping', got {terms!r}")
     n_steps = 1 if n_steps is None else n_steps
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
 
     h = tau_end / n_steps
     xs = grid.xs
     damp = np.exp(-1.5 * lam * h * (xs[:, None] - xs[None, :]) ** 2)
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    half = np.exp(0.25j * h * (k[None, :] ** 2 - k[:, None] ** 2))
+    phase_k = np.exp(0.25j * h * k * k)
+    half = phase_k.conj()[:, None] * phase_k[None, :]
     whole = half * half if n_steps > 1 else None
     factor = half * np.exp(-0.125 * lam * n_steps * h**3 * (k[:, None] + k[None, :]) ** 2)
 
     def flight(rho, factor):
+        # in place on the integrator's own copy; ifftn, because numpy 2's
+        # ifft2 drops its out= argument
         if terms == "damping":
             return rho
-        return np.fft.ifft2(factor * np.fft.fft2(rho))
+        rho = np.fft.fftn(rho, out=rho)
+        rho *= factor
+        return np.fft.ifftn(rho, out=rho)
 
     rho = grid.values.astype(np.complex128, copy=True)
     initial_peak = float(np.max(np.abs(rho)))
     for step in range(1, n_steps + 1):
-        rho = damp * flight(rho, factor)
+        rho = flight(rho, factor)
+        rho *= damp
         factor = whole
         peak = float(np.max(np.abs(rho)))
         if not math.isfinite(peak) or peak > 10.0 * initial_peak:
@@ -225,7 +241,7 @@ def integrate_master_equation(
                 f"sup norm grew from {initial_peak:.3e} to {peak:.3e}",
                 step=step,
             )
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
+        herm = _hermiticity_error(rho)
         if herm > 1e-10 * max(1.0, initial_peak):
             raise IntegrationFailureError(
                 f"Hermiticity drifted to {herm:.3e} at step {step}/{n_steps}",
@@ -281,24 +297,29 @@ def extract_gaussian_coefficients(
 
     # phase part: arg v = -B y z; seed B from the mixed stencil at the peak
     ic, jc = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    phase = np.angle(v)
     if 1 <= ic < grid.n_points - 1 and 1 <= jc < grid.n_points - 1:
-        stencil = (
-            phase[ic + 1, jc] - phase[ic, jc - 1] - phase[ic, jc + 1] + phase[ic - 1, jc]
-        ) / (4.0 * grid.spacing**2)
-        b_seed = -stencil
+        up, left, right, down = np.angle(
+            v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]]
+        )
+        b_seed = -(up - left - right + down) / (4.0 * grid.spacing**2)
     else:
         b_seed = 0.0
-    predicted = -b_seed * y * z
-    unwrapped = predicted + np.angle(v[mask] * np.exp(-1j * predicted))
     yz = y * z
+    predicted = -b_seed * yz
+    # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n
+    # complex exps instead of one per window point
+    seed_phase = np.exp(1j * b_seed * xs * xs)
+    rewrap = (seed_phase[:, None] * seed_phase.conj()[None, :])[mask]
+    unwrapped = predicted + np.angle(v[mask] * rewrap)
+    weight_sq = w * w
     denom = float(np.sum((w * yz) ** 2))
-    b_fit = b_seed if denom == 0.0 else float(np.sum(w * w * yz * (-unwrapped)) / denom)
+    b_fit = b_seed if denom == 0.0 else float(np.sum(weight_sq * yz * (-unwrapped)) / denom)
 
-    model = a_fit * y * y + c_fit * z * z + d_fit + 1j * (b_fit * yz)
-    data = data_r + 1j * (-unwrapped)
-    residual = float(
-        math.sqrt(np.sum((w * np.abs(model - data)) ** 2) / np.sum(w * w))
+    # |model - data|^2 of the complex log fit, in real arithmetic
+    real_misfit = a_fit * y * y + c_fit * z * z + d_fit - data_r
+    imag_misfit = b_fit * yz + unwrapped
+    residual = math.sqrt(
+        float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
     )
     if residual > residual_threshold:
         raise FitQualityError(
@@ -320,6 +341,7 @@ def eigendecompose_kernel(grid: GridState, count: int):
         eigvals, eigvecs = np.linalg.eigh(grid.values * grid.spacing)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure
         raise DecompositionError(str(exc)) from exc
-    order = np.argsort(eigvals)[::-1][:count]
-    return eigvals[order], eigvecs[:, order]
+    # eigh returns ascending eigenvalues; copy the top eigenvectors so the
+    # caller does not keep all n alive
+    return eigvals[::-1][:count], eigvecs[:, ::-1][:, :count].copy()
 

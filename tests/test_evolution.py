@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,3 +337,35 @@ def test_state_unit_conversion_round_trip():
     assert back.a_coeff == pytest.approx(state.a_coeff, rel=1e-12)
     ratio = (PLANCK_LENGTH.scale_m / METER.scale_m) ** 2
     assert there.a_coeff == pytest.approx(state.a_coeff * ratio, rel=1e-12)
+
+
+@st.composite
+def kernel_points(draw):
+    """A state with |B| <= 1e2 and a point with |x|, |x'| <= 20.  A and C
+    keep A y^2 + C z^2 <= 40, so the amplitude's own rounding (about
+    3 eps per unit of exponent) stays far inside the phase bound below."""
+    x = draw(st.floats(-20.0, 20.0))
+    xp = draw(st.floats(-20.0, 20.0))
+    y_sq, z_sq = (x - xp) ** 2, (x + xp) ** 2
+    c = draw(st.floats(1e-6, 20.0 / max(1.0, y_sq, z_sq)))
+    a = draw(st.floats(c, max(c, 20.0 / max(1.0, y_sq))))
+    b = draw(st.floats(-1e2, 1e2))
+    return GaussianDensityMatrix(a, b, c), x, xp
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=kernel_points())
+def test_kernel_matches_high_precision(point):
+    # the phase is evaluated as exp(-iB x^2) exp(iB x'^2); its rounding
+    # grows with B (x^2 + x'^2), not with the much smaller B y z
+    state, x, xp = point
+    with mpmath.workdps(40):
+        mx, mxp = mpmath.mpf(x), mpmath.mpf(xp)
+        y, z = mx - mxp, mx + mxp
+        exponent = mpmath.mpc(
+            -(state.a_coeff * y * y + state.c_coeff * z * z), -state.b_coeff * y * z
+        )
+        norm = mpmath.sqrt(4 * mpmath.mpf(state.c_coeff) / mpmath.pi)
+        exact = complex(norm * mpmath.exp(exponent))
+    phase_size = abs(state.b_coeff) * (x * x + xp * xp)
+    assert abs(complex(state.kernel(x, xp)) - exact) <= 1e-13 * abs(exact) * max(1.0, phase_size)

@@ -15,6 +15,7 @@ from decogauss.oracle import (
     FitQualityError,
     GridState,
     IntegrationFailureError,
+    _hermiticity_error,
     discretize,
     eigendecompose_kernel,
     extract_gaussian_coefficients,
@@ -62,6 +63,28 @@ def test_discretize_rejects_narrow_domain():
 def test_discretize_rejects_coarse_grid():
     with pytest.raises(ValueError):
         discretize(PURE, -8.0, 8.0, 32)
+
+
+# an infinite bound makes linspace warn before the grid rejects it
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "x_min, x_max, field",
+    [(math.nan, 8.0, "x_min"), (-8.0, math.inf, "x_max"), (-math.inf, 8.0, "x_min")],
+)
+def test_discretize_rejects_non_finite_bounds(x_min, x_max, field):
+    # NaN fails every comparison and an infinite bound passes the coverage
+    # check, so without the grid's own check these came back as all-NaN grids
+    with pytest.raises(ValueError, match=field):
+        discretize(PURE, x_min, x_max, 64)
+
+
+@pytest.mark.parametrize("n", [64, 127, 128])
+def test_hermiticity_error_is_the_direct_expression(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    direct = float(np.max(np.abs(values - values.conj().T)))
+    assert _hermiticity_error(values) == direct
+    assert GridState(-1.0, 1.0, n, values).hermiticity_error() == direct
 
 
 # --- integration ------------------------------------------------------------------
@@ -164,6 +187,23 @@ def test_integration_rejects_bad_arguments():
         integrate_master_equation(grid, 1.0, -0.1)
     with pytest.raises(ValueError):
         integrate_master_equation(grid, 1.0, 0.1, terms="sideways")
+
+
+@pytest.mark.parametrize("n_steps", [0, 2.0, True, "2"])
+def test_integration_rejects_step_counts_that_are_not_positive_integers(n_steps):
+    grid = spanning_grid(MIXED, n_points=128)
+    with pytest.raises(ValueError, match="n_steps"):
+        integrate_master_equation(grid, 1.0, 0.1, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("terms", ["full", "damping"])
+@pytest.mark.parametrize("n_steps", [1, 3])
+def test_integration_leaves_the_input_grid_untouched(terms, n_steps):
+    # the integrator transforms its own copy in place
+    grid = spanning_grid(MIXED, n_points=128)
+    before = grid.values.tobytes()
+    integrate_master_equation(grid, 1.0, 0.2, n_steps=n_steps, terms=terms)
+    assert grid.values.tobytes() == before
 
 
 def _convergence_problem(sigmas=8.0):
