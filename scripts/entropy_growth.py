@@ -14,7 +14,7 @@ from decogauss.spectral import mean_excitation, von_neumann_entropy
 
 scenario = baseball_scenario()
 evolution = evolve_scenario(scenario)
-area = evolution.state.unit.scale_m**2  # m^2 per squared Planck length
+area = evolution.constants.planck_length**2  # m^2 per squared Planck length
 
 t_flight = scenario.evolution_time_s
 print(f"{'t / t_flight':>12} {'N':>13} {'S (nats)':>9} {'dS/dln t':>9}")

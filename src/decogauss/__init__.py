@@ -6,9 +6,9 @@ Neumann entropy), phase averaging, localized observation-operator
 measures, and an independent grid-PDE oracle.
 
 The closed form runs on `math` alone.  numpy is imported by the oracle and
-inside the methods that build arrays (kernels, densities, eigenstate
-amplitudes), so importing the package or running a closed-form CLI
-subcommand does not load it.
+inside the methods that build arrays (kernels, eigenstate amplitudes), so
+importing the package or running a closed-form CLI subcommand does not
+load it.
 """
 
 from .averaging import phase_average
@@ -53,6 +53,6 @@ from .spectral import (
     truncation_index,
     von_neumann_entropy,
 )
-from .units import CONSTANTS, METER, PLANCK_LENGTH, LengthUnit
+from .units import CONSTANTS
 
 __version__ = "0.1.0"

@@ -15,6 +15,6 @@ __all__ = ["phase_average"]
 
 
 def phase_average(state: GaussianDensityMatrix) -> GaussianDensityMatrix:
-    """Drop B; A, C and the unit are untouched.  Idempotent."""
-    return GaussianDensityMatrix(state.a_coeff, 0.0, state.c_coeff, state.unit)
+    """Drop B; A and C are untouched.  Idempotent."""
+    return GaussianDensityMatrix(state.a_coeff, 0.0, state.c_coeff)
 

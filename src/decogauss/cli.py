@@ -26,7 +26,6 @@ from .evolution import (
     purity,
 )
 from .spectral import spectral_summary
-from .units import METER
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,7 +82,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    state = GaussianDensityMatrix(args.A, args.B, args.C, METER)
+    state = GaussianDensityMatrix(args.A, args.B, args.C)
     summary = spectral_summary(state)
     payload = {
         "mean_excitation": summary.mean_excitation,
@@ -118,7 +117,7 @@ def _cmd_oracle_check(args) -> int:
         dx0_sq = float(rng.uniform(0.3, 1.0))
         lam = float(rng.uniform(0.3, 1.2))
         tau_end = float(rng.uniform(0.15, 0.25))
-        cubic = cubic_from_initial(minimum_uncertainty_initial(dx0_sq, METER), lam)
+        cubic = cubic_from_initial(minimum_uncertainty_initial(dx0_sq), lam)
         span = 8.0 * math.sqrt(max(cubic.x_value(t) for t in (0.0, tau_end)))
         grid = oracle.discretize(evolve(cubic, 0.0), -span, span, 192)
         try:

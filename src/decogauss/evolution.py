@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import METER, LengthUnit
-
 __all__ = [
     "GaussianDensityMatrix",
     "CubicSolution",
@@ -56,7 +54,6 @@ class GaussianDensityMatrix:
     a_coeff: float
     b_coeff: float
     c_coeff: float
-    unit: LengthUnit = METER
 
     def __post_init__(self):
         for name in ("a_coeff", "b_coeff", "c_coeff"):
@@ -88,18 +85,6 @@ class GaussianDensityMatrix:
         phase = np.exp(-1j * self.b_coeff * x * x) * np.exp(1j * self.b_coeff * xp * xp)
         return self.norm * np.exp(-real) * phase
 
-    def diagonal_density(self, x):
-        """Position probability density rho(x, x) = sqrt(4C/pi) exp(-4C x^2)."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        return self.norm * np.exp(-4.0 * self.c_coeff * x * x)
-
-    def convert(self, unit: LengthUnit) -> "GaussianDensityMatrix":
-        """Re-express the coefficients in another length unit."""
-        s = (unit.scale_m / self.unit.scale_m) ** 2
-        return GaussianDensityMatrix(self.a_coeff * s, self.b_coeff * s, self.c_coeff * s, unit)
-
 
 @dataclass(frozen=True)
 class CubicSolution:
@@ -119,7 +104,6 @@ class CubicSolution:
     a2: float
     a1: float
     a0: float
-    unit: LengthUnit = METER
     ratio0: float | None = None
 
     def __post_init__(self):
@@ -156,11 +140,6 @@ class CubicSolution:
     def x_second(self, tau: float) -> float:
         return 2.0 * self.a2 + 6.0 * self.lam * tau
 
-    def initial_ratio(self) -> float:
-        """A(0)/C(0), the constant term 4*a0*a2 - a1^2 of the expanded
-        numerator; >= 1 for any valid set of coefficients."""
-        return self.ratio0
-
 
 def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSolution:
     """Coefficients a0 = 1/(8C), a1 = -B/(2C), a2 = 2A + B^2/(2C) at tau = 0."""
@@ -174,13 +153,12 @@ def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSoluti
         a2=2.0 * state0.a_coeff + state0.b_coeff**2 / (2.0 * c0),
         a1=-state0.b_coeff / (2.0 * c0),
         a0=1.0 / (8.0 * c0),
-        unit=state0.unit,
         ratio0=max(1.0, state0.a_coeff / c0),
     )
 
 
 def evolve(cubic: CubicSolution, tau: float) -> GaussianDensityMatrix:
-    """State at rescaled time tau >= 0 (tau in cubic.unit length^2)."""
+    """State at rescaled time tau >= 0 (tau in the cubic's length unit, squared)."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
     x = cubic.x_value(tau)
@@ -199,7 +177,6 @@ def evolve(cubic: CubicSolution, tau: float) -> GaussianDensityMatrix:
         a_coeff=numerator / eight_x,
         b_coeff=-cubic.x_prime(tau) / (4.0 * x),
         c_coeff=1.0 / eight_x,
-        unit=cubic.unit,
     )
 
 
@@ -213,14 +190,12 @@ def momentum_variance(cubic: CubicSolution, tau: float) -> float:
     return 3.0 * cubic.lam * tau + cubic.a2
 
 
-def minimum_uncertainty_initial(
-    dx0_squared: float, unit: LengthUnit = METER
-) -> GaussianDensityMatrix:
+def minimum_uncertainty_initial(dx0_squared: float) -> GaussianDensityMatrix:
     """Pure state saturating 4*(dx)^2*(dp/hbar)^2 = 1: A = C = 1/(8 dx0^2), B = 0."""
     if not (math.isfinite(dx0_squared) and dx0_squared > 0.0):
         raise ValueError(f"dx0_squared must be positive, got {dx0_squared!r}")
     coeff = 1.0 / (8.0 * dx0_squared)
-    return GaussianDensityMatrix(coeff, 0.0, coeff, unit)
+    return GaussianDensityMatrix(coeff, 0.0, coeff)
 
 
 def purity(state: GaussianDensityMatrix) -> float:

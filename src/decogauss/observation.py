@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
-from .units import METER, LengthUnit, UnitMismatchError
 
 __all__ = ["ObservationOperator", "make_operator", "measure", "measure_profile"]
 
@@ -36,7 +35,6 @@ class ObservationOperator:
     alpha: float   # 1/length^2, relative-coordinate width
     gamma: float   # 1/length^2, center-coordinate width
     norm: float    # fixed by unit trace
-    unit: LengthUnit = METER
 
     def __post_init__(self):
         if not (math.isfinite(self.center)):
@@ -58,20 +56,8 @@ class ObservationOperator:
         zc = x + xp - 2.0 * self.center
         return self.norm * np.exp(-(self.alpha * y * y + self.gamma * zc * zc))
 
-    def convert(self, unit: LengthUnit) -> "ObservationOperator":
-        r = unit.scale_m / self.unit.scale_m
-        return ObservationOperator(
-            center=self.center / r,
-            alpha=self.alpha * r * r,
-            gamma=self.gamma * r * r,
-            norm=self.norm * r,  # norm carries 1/length from the trace normalization
-            unit=unit,
-        )
 
-
-def make_operator(
-    center: float, alpha: float, gamma: float, unit: LengthUnit = METER
-) -> ObservationOperator:
+def make_operator(center: float, alpha: float, gamma: float) -> ObservationOperator:
     """Window at ``center`` with unit trace: norm = 2 sqrt(gamma/pi)."""
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive, got {gamma!r}")
@@ -80,16 +66,12 @@ def make_operator(
         alpha=alpha,
         gamma=gamma,
         norm=2.0 * math.sqrt(gamma / math.pi),
-        unit=unit,
     )
 
 
 def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
-    """tr(A_k rho), the closed 2-D Gaussian integral of the product kernel."""
-    if op.unit.scale_m != state.unit.scale_m:
-        raise UnitMismatchError(
-            f"operator unit {op.unit.name!r} does not match state unit {state.unit.name!r}"
-        )
+    """tr(A_k rho), the closed 2-D Gaussian integral of the product kernel;
+    operator and state are given in one length unit."""
     a, b, c = state.a_coeff, state.b_coeff, state.c_coeff
     denom_y = a + op.alpha
     q_minus_gamma = c + b * b / (4.0 * denom_y)
@@ -105,12 +87,12 @@ def measure_profile(
     gamma: float,
     state: GaussianDensityMatrix,
 ) -> list[tuple[float, float]]:
-    """Element-wise measures of a window family sharing (alpha, gamma) in the
-    state's unit; rows (center, measure) ready for CSV emission."""
+    """Element-wise measures of a window family sharing (alpha, gamma), in
+    the state's length unit; rows (center, measure) ready for CSV emission."""
     centers = list(centers)
     if not centers:
         raise ValueError("center list must be nonempty")
     return [
-        (x_k, measure(make_operator(x_k, alpha, gamma, state.unit), state))
+        (x_k, measure(make_operator(x_k, alpha, gamma), state))
         for x_k in centers
     ]

@@ -26,7 +26,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import GaussianDensityMatrix
-from .units import METER, LengthUnit
 
 __all__ = [
     "GridState",
@@ -85,7 +84,6 @@ class GridState:
     x_max: float
     n_points: int
     values: np.ndarray
-    unit: LengthUnit = METER
 
     def __post_init__(self):
         for name in ("x_min", "x_max"):
@@ -157,7 +155,7 @@ def discretize(
     sigma = math.sqrt(1.0 / (8.0 * state.c_coeff))
     xs = np.linspace(x_min, x_max, n_points)
     values = state.kernel(xs[:, None], xs[None, :])
-    grid = GridState(x_min, x_max, n_points, values, state.unit)
+    grid = GridState(x_min, x_max, n_points, values)
     deficit = abs(1.0 - grid.trace())
     if x_min > -8.0 * sigma or x_max < 8.0 * sigma:
         raise DomainCoverageError(
@@ -248,7 +246,7 @@ def integrate_master_equation(
                 step=step,
             )
     rho = flight(rho, half)
-    return GridState(grid.x_min, grid.x_max, grid.n_points, rho, grid.unit)
+    return GridState(grid.x_min, grid.x_max, grid.n_points, rho)
 
 
 @dataclass(frozen=True)
@@ -261,17 +259,19 @@ class GaussianFit:
     residual: float
 
 
-def extract_gaussian_coefficients(
-    grid: GridState,
-    window_floor: float = 1e-10,
-    residual_threshold: float = 1e-2,
-) -> GaussianFit:
+#: The fit window: grid points with |kernel| >= FIT_WINDOW_FLOOR * peak.
+FIT_WINDOW_FLOOR = 1e-10
+#: Weighted RMS log residual above which the kernel is not Gaussian.
+FIT_RESIDUAL_THRESHOLD = 1e-2
+
+
+def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     """Weighted least-squares fit of -ln(kernel) to A y^2 + i B y z + C z^2 + D
-    over the central window |kernel| >= window_floor * peak.
+    over the central window |kernel| >= FIT_WINDOW_FLOOR * peak.
 
     The magnitude fixes A, C; the phase fixes B, seeded by a cross stencil at
     the peak and rewrapped against that seed, so phase wraps across the
-    window do not alias the fit.  Residuals above residual_threshold raise
+    window do not alias the fit.  Residuals above FIT_RESIDUAL_THRESHOLD raise
     FitQualityError (deliberately non-Gaussian input).
     """
     v = grid.values
@@ -279,7 +279,7 @@ def extract_gaussian_coefficients(
     peak = float(mags.max())
     if peak <= 0.0:
         raise FitQualityError("kernel is identically zero", residual=math.inf)
-    mask = mags >= window_floor * peak
+    mask = mags >= FIT_WINDOW_FLOOR * peak
     xs = grid.xs
     y = (xs[:, None] - xs[None, :])[mask]
     z = (xs[:, None] + xs[None, :])[mask]
@@ -321,10 +321,10 @@ def extract_gaussian_coefficients(
     residual = math.sqrt(
         float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
     )
-    if residual > residual_threshold:
+    if residual > FIT_RESIDUAL_THRESHOLD:
         raise FitQualityError(
             f"kernel deviates from the Gaussian form: residual {residual:.3e} "
-            f"exceeds {residual_threshold:.1e}",
+            f"exceeds {FIT_RESIDUAL_THRESHOLD:.1e}",
             residual=residual,
         )
     return GaussianFit(a_coeff=a_fit, b_coeff=b_fit, c_coeff=c_fit, residual=residual)

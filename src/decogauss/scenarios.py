@@ -1,13 +1,14 @@
 """Scenario ingestion, the built-in baseball preset, and report generation.
 
 A scenario is ingested in SI, converted once to dimensionless Planck form,
-evolved there, and converted back only for report rows.  Reports are
-bit-deterministic: fixed row order, 9 significant digits for values, 3 for
-deviations.  For the baseball preset every published comparison value is
-attached to its row and the three known discrepancies of the published
-description (composite rate formula off by 2*pi, averaged-A exponent,
-entropy growth coefficient) are recorded in the report's discrepancy
-ledger.
+evolved there, and converted back only for report rows: this module is the
+one SI-Planck boundary, and the library computes in the unit it is handed.
+Reports are bit-deterministic: fixed row order, 9 significant digits for
+values, 3 for deviations.  For the baseball preset every published
+comparison value is attached to its row and the three known discrepancies
+of the published description (composite rate formula off by 2*pi,
+averaged-A exponent, entropy growth coefficient) are recorded in the
+report's discrepancy ledger.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .model import (
 )
 from .observation import measure_profile
 from .spectral import mean_excitation, spectral_summary, von_neumann_entropy
-from .units import CONSTANTS, METER, PhysicalConstants, planck_length_unit
+from .units import CONSTANTS, PhysicalConstants
 
 __all__ = [
     "Scenario",
@@ -253,10 +254,11 @@ def _entropy_at(cubic, tau: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioEvolution:
-    """A scenario evolved to its final time, in Planck units.
+    """A scenario evolved to its final time.
 
-    ``state`` and ``cubic`` carry ``planck_length_unit(constants)``; every
-    conversion back to SI goes through that unit.
+    ``cubic`` and ``state`` are in Planck lengths (``constants.planck_length``);
+    ``state_si`` is the same state in meters, converted once here for every
+    row that reports it in SI.
     """
 
     scenario: Scenario
@@ -268,29 +270,33 @@ class ScenarioEvolution:
     cubic: CubicSolution
     tau_si: float             # m^2
     tau_planck: float         # l_Pl^2
-    state: GaussianDensityMatrix
+    state: GaussianDensityMatrix     # 1/l_Pl^2
+    state_si: GaussianDensityMatrix  # 1/m^2
 
 
 def evolve_scenario(
     scenario: Scenario, constants: PhysicalConstants = CONSTANTS
 ) -> ScenarioEvolution:
     """Environment -> localization rate -> lam -> cubic -> state at the
-    evolution time, converted once from SI into Planck units."""
+    evolution time, converted once from SI into Planck units and once back."""
     particle = scenario.particle
     env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle, constants)
     loc_rate = big_lambda(env)
     lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle, constants)
 
-    unit = planck_length_unit(constants)
-    area = unit.scale_m**2
+    l_pl = constants.planck_length
+    area = l_pl**2
     lam_planck = lam_si * area * area
-    state0 = minimum_uncertainty_initial((scenario.initial_dx_m / unit.scale_m) ** 2, unit)
+    state0 = minimum_uncertainty_initial((scenario.initial_dx_m / l_pl) ** 2)
     cubic = cubic_from_initial(state0, lam_planck)
     tau_si = tau_from_time(scenario.evolution_time_s, particle, constants)
     tau_planck = tau_si / area
+    state = evolve(cubic, tau_planck)
+    per_m2 = (1.0 / l_pl) ** 2
+    state_si = GaussianDensityMatrix(state.a_coeff * per_m2, state.b_coeff * per_m2, state.c_coeff * per_m2)
     return ScenarioEvolution(
         scenario, constants, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck,
-        evolve(cubic, tau_planck),
+        state, state_si,
     )
 
 
@@ -328,16 +334,16 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     particle, env, loc_rate = scenario.particle, evolution.environment, evolution.localization_rate
     lam_si, lam_planck = evolution.lam_si, evolution.lam_planck
     tau_si, tau_planck = evolution.tau_si, evolution.tau_planck
-    l_pl = state.unit.scale_m
+    l_pl = constants.planck_length
     t_end = scenario.evolution_time_s
-    # Planck-native route, written out apart from the unit: time over
-    # l_Pl/c, mass over hbar/(c*l_Pl), both anchored on the same
-    # planck_length so the routes differ only in rounding order
-    t_native = t_end * constants.c / constants.planck_length
-    m_native = particle.mass * constants.c * constants.planck_length / constants.hbar
+    # Planck-native route, apart from the area scaling: time over l_Pl/c,
+    # mass over hbar/(c*l_Pl), both anchored on the same planck_length so
+    # the routes differ only in rounding order
+    t_native = t_end * constants.c / l_pl
+    m_native = particle.mass * constants.c * l_pl / constants.hbar
     tau_consistency = abs(tau_planck - t_native / m_native) / tau_planck
 
-    averaged = phase_average(state.convert(METER))
+    averaged = phase_average(evolution.state_si)
     summary = spectral_summary(state)
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
@@ -444,7 +450,7 @@ def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow
     """One SI row per sample time; one scale for the whole table rather
     than a converted state per row."""
     particle, constants, cubic = evolution.scenario.particle, evolution.constants, evolution.cubic
-    area = evolution.state.unit.scale_m**2
+    area = constants.planck_length**2
     rows = []
     for t in times:
         tau_t = tau_from_time(t, particle, constants) / area
@@ -472,11 +478,8 @@ def profile_rows(evolution: ScenarioEvolution) -> tuple[ProfileRow, ...]:
     obs = evolution.scenario.observation
     if obs is None:
         return ()
-    state_si = evolution.state.convert(METER)
-    return tuple(
-        ProfileRow(*pair)
-        for pair in measure_profile(obs.centers_m, obs.alpha_per_m2, obs.gamma_per_m2, state_si)
-    )
+    rows = measure_profile(obs.centers_m, obs.alpha_per_m2, obs.gamma_per_m2, evolution.state_si)
+    return tuple(ProfileRow(*pair) for pair in rows)
 
 
 def _within(row: ScalarRow, profile: str) -> bool:
@@ -630,7 +633,12 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     if dx_planck is not None:
         if "initial_dx_m" in settings:
             raise AmbiguityError("config supplies both initial_dx_m and initial_dx_planck_lengths")
-        settings["initial_dx_m"] = dx_planck * constants.planck_length
+        # checked before Scenario sees it in meters, so the message names this key
+        dx_m = dx_planck * constants.planck_length
+        if not (math.isfinite(dx_m) and dx_m > 0.0):
+            raw = parser["scenario"]["initial_dx_planck_lengths"]
+            raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")
+        settings["initial_dx_m"] = dx_m
     elif "initial_dx_m" not in settings:
         raise MissingKeyError("initial_dx_m", "scenario")
     if "evolution_time_s" not in settings:

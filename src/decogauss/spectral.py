@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
-from .units import METER, LengthUnit
 
 __all__ = [
     "SpectralSummary",
@@ -31,6 +30,9 @@ __all__ = [
 #: Ladders are never enumerated past this index; callers working at
 #: macroscopic N receive summary statistics instead.
 INDEX_CAP = 10**6
+
+#: Share of the ladder's mass a spectral summary's truncation index captures.
+TARGET_MASS = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class EigenstateSpec:
     index: int
     width_parameter: float    # 1/length^2, value 2*sqrt(A*C)
     phase_coefficient: float  # 1/length^2, value B
-    unit: LengthUnit = METER
 
     def __post_init__(self):
         if self.index < 0:
@@ -124,15 +125,11 @@ def truncation_index(n_mean: float, target_mass: float) -> int:
     return n
 
 
-def spectral_summary(
-    state: GaussianDensityMatrix,
-    target_mass: float = 1.0 - 1e-9,
-    index_cap: int = INDEX_CAP,
-) -> SpectralSummary:
-    """Summary statistics of the eigenvalue ladder, truncation capped so the
-    ladder is never enumerated at macroscopic N."""
+def spectral_summary(state: GaussianDensityMatrix) -> SpectralSummary:
+    """Summary statistics of the eigenvalue ladder, truncated at TARGET_MASS
+    and capped at INDEX_CAP so it is never enumerated at macroscopic N."""
     n_mean = mean_excitation(state)
-    n_max = min(index_cap, truncation_index(n_mean, target_mass))
+    n_max = min(INDEX_CAP, truncation_index(n_mean, TARGET_MASS))
     return SpectralSummary(
         mean_excitation=n_mean,
         entropy_nats=von_neumann_entropy(n_mean),
@@ -147,7 +144,6 @@ def eigenstate_spec(state: GaussianDensityMatrix, n: int) -> EigenstateSpec:
         index=n,
         width_parameter=2.0 * math.sqrt(state.a_coeff * state.c_coeff),
         phase_coefficient=state.b_coeff,
-        unit=state.unit,
     )
 
 

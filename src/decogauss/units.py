@@ -1,9 +1,9 @@
-"""Physical constants, Planck-unit definitions, and length-unit conversions.
+"""Physical constants and the Planck units derived from them.
 
-Every coefficient-bearing quantity in this package carries a ``LengthUnit``
-tag.  Downstream modules compute in one declared unit system per call chain
-(dimensionless Planck form for macroscopic scenarios); conversion happens
-only at ingestion and at report emission.
+Library coefficients are plain numbers in whatever one length unit the
+caller chooses; every closed form holds in any consistent unit.  The one
+place that converts between SI and Planck lengths is ``scenarios.py``, and
+it takes the scale from ``planck_length`` here.
 """
 
 from __future__ import annotations
@@ -11,19 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
-    "LengthUnit",
-    "METER",
-    "PLANCK_LENGTH",
-    "UnitMismatchError",
-    "planck_length_unit",
-]
-
-
-class UnitMismatchError(ValueError):
-    """Operands carry incompatible length units."""
+__all__ = ["PhysicalConstants", "CONSTANTS"]
 
 
 @dataclass(frozen=True)
@@ -73,26 +61,3 @@ def _codata() -> PhysicalConstants:
 
 
 CONSTANTS = _codata()
-
-
-@dataclass(frozen=True)
-class LengthUnit:
-    """Length-unit tag; ``scale_m`` is the size of one unit in meters."""
-
-    name: str
-    scale_m: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale_m) and self.scale_m > 0.0):
-            raise ValueError(f"unit scale must be positive and finite, got {self.scale_m!r}")
-
-
-METER = LengthUnit("m", 1.0)
-
-
-def planck_length_unit(constants: PhysicalConstants = CONSTANTS) -> LengthUnit:
-    return LengthUnit("l_Pl", constants.planck_length)
-
-
-PLANCK_LENGTH = planck_length_unit()
-

@@ -1,7 +1,6 @@
 import hypothesis.strategies as st
 
 from decogauss.evolution import GaussianDensityMatrix
-from decogauss.units import METER
 
 
 @st.composite
@@ -11,7 +10,7 @@ def valid_states(draw, max_ratio=1e4, max_b=50.0):
     c = draw(st.floats(1e-2, 1e2))
     ratio = draw(st.floats(1.0, max_ratio))
     b = draw(st.floats(-max_b, max_b))
-    return GaussianDensityMatrix(c * ratio, b, c, METER)
+    return GaussianDensityMatrix(c * ratio, b, c)
 
 
 def o1_states():

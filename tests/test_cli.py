@@ -143,6 +143,20 @@ def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
     assert "speed_m_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["-1", "nan", "1e400", "0", "1e-300"])
+def test_bad_initial_dx_planck_lengths_exits_3_naming_the_key(bad, tmp_path, capsys):
+    config = tmp_path / "dx.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace(
+            "initial_dx_m = 8.081275e-36", f"initial_dx_planck_lengths = {bad}"
+        )
+    )
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert f"initial_dx_planck_lengths must give a positive, finite length in meters, got {bad}\n" in err
+    assert "initial_dx_m " not in err
+
+
 def test_measure_requires_observation_section(tmp_path):
     config = tmp_path / "plain.ini"
     config.write_text(dump_scenario(baseball_scenario()))

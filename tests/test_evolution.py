@@ -18,13 +18,13 @@ from decogauss.evolution import (
     position_variance,
     purity,
 )
-from decogauss.units import METER, PLANCK_LENGTH
+from decogauss.scenarios import baseball_scenario, evolve_scenario
 from _quad import quad_purity, quad_trace
 
 # baseball magnitudes in Planck units (rounded to the published digits)
 TAU_B = 1.78e37
 LAM_B = 2.2e-60
-BASEBALL_CUBIC = CubicSolution(lam=LAM_B, a2=1.0, a1=0.0, a0=0.25, unit=PLANCK_LENGTH)
+BASEBALL_CUBIC = CubicSolution(lam=LAM_B, a2=1.0, a1=0.0, a0=0.25)
 
 
 def exact_coefficients(cubic, tau):
@@ -86,7 +86,7 @@ def test_cubic_rejects_negative_lam():
 def test_cubic_initial_ratio_is_a_over_c():
     state = GaussianDensityMatrix(0.75, -0.5, 0.0625)
     cubic = cubic_from_initial(state, lam=1.0)
-    assert cubic.initial_ratio() == pytest.approx(0.75 / 0.0625, rel=1e-12)
+    assert cubic.ratio0 == pytest.approx(0.75 / 0.0625, rel=1e-12)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_minimum_uncertainty_quarter():
 
 
 def test_minimum_uncertainty_planck_baseball_start():
-    state = minimum_uncertainty_initial(0.25, PLANCK_LENGTH)
+    state = minimum_uncertainty_initial(0.25)
     cubic = cubic_from_initial(state, LAM_B)
     assert (cubic.a0, cubic.a1, cubic.a2) == (0.25, 0.0, 1.0)
 
@@ -312,7 +312,7 @@ def test_state_accepts_chirped_pure_state():
     assert purity(state) == 1.0
     cubic = cubic_from_initial(state, 0.5)
     assert cubic.a1 != 0.0
-    assert cubic.initial_ratio() == pytest.approx(1.0, rel=1e-12)
+    assert cubic.ratio0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_state_rejects_non_finite():
@@ -331,12 +331,13 @@ def test_cubic_rejects_invalid_coefficients():
 
 
 def test_state_unit_conversion_round_trip():
-    state = GaussianDensityMatrix(0.75, -0.5, 0.0625, METER)
-    there = state.convert(PLANCK_LENGTH)
-    back = there.convert(METER)
-    assert back.a_coeff == pytest.approx(state.a_coeff, rel=1e-12)
-    ratio = (PLANCK_LENGTH.scale_m / METER.scale_m) ** 2
-    assert there.a_coeff == pytest.approx(state.a_coeff * ratio, rel=1e-12)
+    # evolve_scenario's one Planck -> SI conversion of the evolved state,
+    # taken back to Planck units by hand
+    evolution = evolve_scenario(baseball_scenario())
+    there, back = evolution.state, evolution.state_si
+    ratio = evolution.constants.planck_length**2
+    for name in ("a_coeff", "b_coeff", "c_coeff"):
+        assert getattr(back, name) * ratio == pytest.approx(getattr(there, name), rel=1e-12)
 
 
 @st.composite

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import o1_states
 from decogauss.evolution import GaussianDensityMatrix
 from decogauss.observation import make_operator, measure, measure_profile
-from decogauss.units import PLANCK_LENGTH, UnitMismatchError
 from _quad import quad_measure, quad_mixture_measure
 
 STATE = GaussianDensityMatrix(0.75, -0.5, 0.0625)
@@ -114,12 +113,6 @@ def test_measure_invariant_under_phase_conjugation():
     plus = measure(op, GaussianDensityMatrix(0.75, 0.5, 0.0625))
     minus = measure(op, GaussianDensityMatrix(0.75, -0.5, 0.0625))
     assert plus == minus
-
-
-def test_measure_rejects_unit_mismatch():
-    op = make_operator(0.0, 0.5, 1.0, PLANCK_LENGTH)
-    with pytest.raises(UnitMismatchError):
-        measure(op, STATE)
 
 
 @settings(max_examples=25, deadline=None)

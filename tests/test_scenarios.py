@@ -384,6 +384,16 @@ def test_initial_dx_planck_lengths_key():
     assert scenario.initial_dx_m == pytest.approx(CONSTANTS.planck_length / 2.0, rel=1e-12)
 
 
+# 1e-300 Planck lengths is positive but underflows to 0 m
+@pytest.mark.parametrize("bad", ["-1", "nan", "1e400", "0", "1e-300"])
+def test_bad_initial_dx_planck_lengths_named_as_written(bad):
+    text = dump_scenario(baseball_scenario()).replace(
+        "initial_dx_m = 8.081275e-36", f"initial_dx_planck_lengths = {bad}"
+    )
+    with pytest.raises(ValueError, match=rf"^initial_dx_planck_lengths .*, got {bad}$"):
+        load_scenario(text)
+
+
 def test_both_dx_keys_ambiguous():
     text = dump_scenario(baseball_scenario()).replace(
         "initial_dx_m = 8.081275e-36",

@@ -17,7 +17,6 @@ from decogauss.spectral import (
     truncation_index,
     von_neumann_entropy,
 )
-from decogauss.units import PLANCK_LENGTH
 from _quad import quad_overlap
 
 MIXED = GaussianDensityMatrix(0.75, -0.5, 0.0625)
@@ -158,7 +157,7 @@ def test_spectral_summary_fields():
 
 
 def test_spectral_summary_caps_macroscopic_ladders():
-    state = GaussianDensityMatrix(2e-23, -2.8e-38, 3.9e-76, PLANCK_LENGTH)
+    state = GaussianDensityMatrix(2e-23, -2.8e-38, 3.9e-76)
     summary = spectral_summary(state)
     assert summary.truncation_index == 10**6
     assert summary.captured_mass < 1e-12

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decogauss.evolution import GaussianDensityMatrix, purity
-from decogauss.scenarios import baseball_scenario, evolve_scenario
+from decogauss.evolution import evolve, minimum_uncertainty_initial, purity
+from decogauss.model import FreeParticle, ScatteringEnvironment
+from decogauss.scenarios import Scenario, baseball_scenario, evolve_scenario, run
 from decogauss.spectral import mean_excitation
-from decogauss.units import (
-    CONSTANTS,
-    METER,
-    PLANCK_LENGTH,
-    LengthUnit,
-    PhysicalConstants,
-)
+from decogauss.units import CONSTANTS, PhysicalConstants
 
 
 def test_planck_length_consistent_with_hbar_g_c():
@@ -68,63 +63,80 @@ def test_nonpositive_or_non_finite_constant_rejected(field, value):
         dataclasses.replace(CONSTANTS, **{field: value})
 
 
+BASEBALL = evolve_scenario(baseball_scenario())
+
+# a consistent constant set whose Planck length is one meter
+NATURAL = PhysicalConstants(
+    hbar=1.0,
+    h=2.0 * math.pi,
+    c=1.0,
+    G=1.0,
+    boltzmann=1.0,
+    g_gravity=1.0,
+    planck_length=1.0,
+    planck_momentum=1.0,
+    planck_mass=1.0,
+)
+
+
 def test_convert_identity():
-    state = GaussianDensityMatrix(0.75, -0.5, 0.0625, METER)
-    assert state.convert(METER) == state
+    scenario = Scenario(
+        particle=FreeParticle(mass=2.0),
+        initial_dx_m=0.75,
+        evolution_time_s=0.5,
+        environment=ScatteringEnvironment(1.0, 0.5, 2.0, 1.5),
+    )
+    evolution = evolve_scenario(scenario, NATURAL)
+    assert evolution.lam_planck == evolution.lam_si
+    assert evolution.state_si == evolution.state
 
 
 def test_convert_meter_to_planck_length():
-    # a coefficient of one per square Planck length, given in 1/m^2
-    state = GaussianDensityMatrix(2.0 / 1.616255e-35**2, 0.0, 1.0 / 1.616255e-35**2, METER)
-    converted = state.convert(PLANCK_LENGTH)
-    assert converted.unit == PLANCK_LENGTH
-    assert converted.c_coeff == pytest.approx(1.0, rel=1e-12)
-    assert converted.a_coeff == pytest.approx(2.0, rel=1e-12)
+    # an initial coefficient of one per square Planck length, given in meters
+    # as the spread 1/sqrt(8) l_Pl
+    scenario = dataclasses.replace(
+        baseball_scenario(), initial_dx_m=CONSTANTS.planck_length / math.sqrt(8.0)
+    )
+    start = evolve(evolve_scenario(scenario).cubic, 0.0)
+    assert start.c_coeff == pytest.approx(1.0, rel=1e-12)
+    assert start.a_coeff == pytest.approx(1.0, rel=1e-12)
 
 
 def test_convert_288_meters():
-    spread_planck = 288.0 / 1.616255e-35  # direct division
-    assert spread_planck == pytest.approx(1.782e37, rel=1e-3)
-    c = 1.0 / (8.0 * spread_planck**2)  # position variance 1/(8C)
-    state = GaussianDensityMatrix(c, 0.0, c, PLANCK_LENGTH)
-    got = math.sqrt(1.0 / (8.0 * state.convert(METER).c_coeff))
-    assert got == pytest.approx(288.0, rel=1e-12)
+    spread_planck = math.sqrt(1.0 / (8.0 * BASEBALL.state.c_coeff))  # variance 1/(8C)
+    assert spread_planck == pytest.approx(1.782e37, rel=1e-2)
+    got = math.sqrt(1.0 / (8.0 * BASEBALL.state_si.c_coeff))
+    assert got == pytest.approx(spread_planck * CONSTANTS.planck_length, rel=1e-12)
+    assert got == pytest.approx(288.0, rel=1e-2)
 
 
 def test_convert_rejects_non_finite():
-    state = GaussianDensityMatrix(1e300, 0.0, 1e300, METER)
-    with pytest.raises(ValueError):
-        state.convert(LengthUnit("Gm", 1e9))  # 1e318 per Gm^2 overflows
+    dx_m = 1e-156
+    # the start is finite in Planck units (about 3e241 per l_Pl^2) ...
+    c_planck = minimum_uncertainty_initial((dx_m / CONSTANTS.planck_length) ** 2).c_coeff
+    assert math.isfinite(c_planck)
+    # ... and overflows in SI (about 1e311 per m^2)
+    scenario = dataclasses.replace(baseball_scenario(), initial_dx_m=dx_m, evolution_time_s=1e-300)
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve_scenario(scenario)
 
 
-def test_custom_unit_scale_must_be_positive():
-    with pytest.raises(ValueError):
-        LengthUnit("u", 0.0)
-    with pytest.raises(ValueError):
-        LengthUnit("u", -1.0)
-    with pytest.raises(ValueError):
-        LengthUnit("u", math.inf)
-
-
-@given(
-    value=st.floats(1e-30, 1e30),
-    ratio=st.floats(1.0, 1e4),
-    b=st.floats(-1e2, 1e2).filter(lambda b: b == 0.0 or abs(b) > 1e-6),
-    scale1=st.floats(1e-36, 1e6),
-    scale2=st.floats(1e-36, 1e6),
-)
-def test_convert_round_trip(value, ratio, b, scale1, scale2):
-    u1 = LengthUnit("u1", scale1)
-    u2 = LengthUnit("u2", scale2)
-    state = GaussianDensityMatrix(ratio * value, b * value, value, u1)
-    back = state.convert(u2).convert(u1)
-    assert back.unit == u1
-    assert back.a_coeff == pytest.approx(state.a_coeff, rel=1e-12)
-    assert back.b_coeff == pytest.approx(state.b_coeff, rel=1e-12)
-    assert back.c_coeff == pytest.approx(state.c_coeff, rel=1e-12)
-
-
-BASEBALL = evolve_scenario(baseball_scenario())
+@given(dx_m=st.floats(1e-35, 1e-6), mass=st.floats(1e-18, 10.0))
+def test_convert_round_trip(dx_m, mass):
+    # SI in, Planck units inside, SI out: the start comes back as it went in,
+    # and the trajectory's SI row at the end time is the evolution's state_si
+    scenario = dataclasses.replace(
+        baseball_scenario(), particle=FreeParticle(mass, 0.0369), initial_dx_m=dx_m, name=""
+    )
+    scenario = dataclasses.replace(scenario, sample_times_s=(0.0, scenario.evolution_time_s))
+    start, end = run(scenario).trajectory
+    assert start.dx2 == pytest.approx(dx_m**2, rel=1e-12)
+    assert start.c_coeff == pytest.approx(1.0 / (8.0 * dx_m**2), rel=1e-12)
+    assert (start.a_coeff, start.b_coeff) == (start.c_coeff, 0.0)
+    state_si = evolve_scenario(scenario).state_si
+    assert end.a_coeff == pytest.approx(state_si.a_coeff, rel=1e-12)
+    assert end.b_coeff == pytest.approx(state_si.b_coeff, rel=1e-12)
+    assert end.c_coeff == pytest.approx(state_si.c_coeff, rel=1e-12)
 
 
 def test_planck_scaled_tau():
@@ -143,7 +155,7 @@ def test_planck_scaled_lambda():
 
 def test_planck_scaled_zero_power_identity():
     # dimensionless figures of the state do not depend on the length unit
-    in_meters = BASEBALL.state.convert(METER)
+    in_meters = BASEBALL.state_si
     assert mean_excitation(in_meters) == pytest.approx(mean_excitation(BASEBALL.state), rel=1e-12)
     assert purity(in_meters) == pytest.approx(purity(BASEBALL.state), rel=1e-12)
 
