@@ -14,9 +14,10 @@ report's discrepancy ledger.
 from __future__ import annotations
 
 import configparser
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from .averaging import phase_average
@@ -287,13 +288,23 @@ def evolve_scenario(
     l_pl = constants.planck_length
     area = l_pl**2
     lam_planck = lam_si * area * area
-    state0 = minimum_uncertainty_initial((scenario.initial_dx_m / l_pl) ** 2)
-    cubic = cubic_from_initial(state0, lam_planck)
     tau_si = tau_from_time(scenario.evolution_time_s, particle, constants)
     tau_planck = tau_si / area
-    state = evolve(cubic, tau_planck)
     per_m2 = (1.0 / l_pl) ** 2
-    state_si = GaussianDensityMatrix(state.a_coeff * per_m2, state.b_coeff * per_m2, state.c_coeff * per_m2)
+    dx_planck = scenario.initial_dx_m / l_pl
+    try:
+        cubic = cubic_from_initial(minimum_uncertainty_initial(dx_planck * dx_planck), lam_planck)
+        state = evolve(cubic, tau_planck)
+        state_si = GaussianDensityMatrix(state.a_coeff * per_m2, state.b_coeff * per_m2, state.c_coeff * per_m2)
+    except ValueError as exc:
+        if not (math.isfinite(lam_planck) and math.isfinite(tau_planck)):
+            raise
+        # a width far from the Planck scale overflows or underflows 1/(8 dx^2),
+        # or the spreading X(tau) ~ tau^2/(4 dx^2) that follows from it
+        raise ValueError(
+            f"initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
+            f" in SI or Planck units: {exc}"
+        ) from None
     return ScenarioEvolution(
         scenario, constants, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck,
         state, state_si,
@@ -695,40 +706,58 @@ def _fmt_dev(value: Optional[float]) -> str:
     return f"{value:.2e}"
 
 
-# columns that hold text; every other cell is a formatted number or ""
-_TEXT_COLUMNS = frozenset(("name", "unit", "description", "stated"))
-
-
-def _sections(report: Report):
-    """The one walk over a report: (section, column names, rows of
-    formatted cells) for each section, in emission order.  The column names
-    are the CSV headers and the JSON keys."""
+def _sections(report: Report, num=_fmt, dev=_fmt_dev, text=str):
+    """The one walk over a report: (section, column names, rows of cells)
+    for each section, in emission order, each cell spelled by ``num``,
+    ``dev`` (deviations) or ``text``.  The column names are the CSV headers
+    and the JSON keys."""
     yield "scalars", ("name", "value", "unit", "reference", "deviation"), [
-        (row.name, _fmt(row.value), row.unit, _fmt(row.reference), _fmt_dev(row.deviation))
+        (text(row.name), num(row.value), text(row.unit), num(row.reference), dev(row.deviation))
         for row in report.scalars
     ]
     yield "trajectory", ("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), [
-        tuple(map(_fmt, row)) for row in report.trajectory
+        tuple(map(num, row)) for row in report.trajectory
     ]
     yield "discrepancies", ("description", "stated", "computed"), [
-        (entry.description, entry.stated, _fmt(entry.computed))
+        (text(entry.description), text(entry.stated), num(entry.computed))
         for entry in report.discrepancies
     ]
-    yield "profile", ("x_k", "measure"), [(_fmt(x_k), _fmt(value)) for x_k, value in report.profile]
+    yield "profile", ("x_k", "measure"), [(num(x_k), num(value)) for x_k, value in report.profile]
+
+
+# exponents at which format(v, ".9g") or ".3g" and float repr spell the same
+# number differently: repr writes [1e-4, 1e16) in fixed notation, and a
+# subnormal, or a rounding past the largest double, has other digits
+_RESPELL = frozenset(f"e{exponent:+03d}" for exponent in (*range(-324, -306), *range(-4, 16), 308))
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_num(value: Optional[float], spec: str = ".9g") -> str:
+    """json.dumps(float(_fmt(value))) from one format call; with spec ".3g",
+    the same for _fmt_dev.  "+ 0.0" normalizes -0.0 as _fmt does."""
+    if value is None:
+        return "null"
+    text = format(value + 0.0, spec)
+    cut = text.find("e")
+    if cut >= 0:
+        if text[cut:] not in _RESPELL:
+            return text
+        text = repr(float(text))
+    elif "." not in text and text not in _JSON_CONSTANTS:
+        return text + ".0"  # an integer in fixed notation
+    return _JSON_CONSTANTS.get(text, text)
 
 
 def _emit_json(report: Report) -> bytes:
-    payload = {"scenario": report.scenario_name}
-    for section, columns, rows in _sections(report):
-        text = [column in _TEXT_COLUMNS for column in columns]
-        payload[section] = [
-            {
-                column: cell if is_text else float(cell) if cell else None
-                for column, is_text, cell in zip(columns, text, row)
-            }
-            for row in rows
-        ]
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    """The bytes of json.dumps(payload, indent=2) + "\n", where payload maps
+    "scenario" to the name and each section to a list of {column: cell}."""
+    parts = ['{\n  "scenario": ' + encode_basestring_ascii(report.scenario_name)]
+    dev = partial(_json_num, spec=".3g")
+    for section, columns, rows in _sections(report, _json_num, dev, encode_basestring_ascii):
+        entry = "    {\n" + ",\n".join(f'      "{column}": %s' for column in columns) + "\n    }"
+        items = ",\n".join([entry % row for row in rows])
+        parts.append(f',\n  "{section}": ' + (f"[\n{items}\n  ]" if rows else "[]"))
+    return ("".join(parts) + "\n}\n").encode()
 
 
 def _emit_csv(report: Report) -> bytes:

@@ -71,7 +71,7 @@ def eigenvalue(n_mean: float, n: int) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be nonnegative, got {n_mean!r}")
+        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
     if n_mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(n_mean) - (n + 1) * math.log1p(n_mean))
@@ -84,7 +84,7 @@ def von_neumann_entropy(n_mean: float) -> float:
     the small-N limit and the large-N asymptote ln N + 1 + 1/(2N) exact.
     """
     if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be nonnegative, got {n_mean!r}")
+        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
     if n_mean == 0.0:
         return 0.0
     return math.log1p(n_mean) + n_mean * math.log1p(1.0 / n_mean)
@@ -105,7 +105,7 @@ def truncation_index(n_mean: float, target_mass: float) -> int:
     if not (0.0 < target_mass < 1.0):
         raise ValueError(f"target_mass must lie in (0, 1), got {target_mass!r}")
     if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be nonnegative, got {n_mean!r}")
+        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
     if n_mean == 0.0:
         return 0
     log_ratio = -math.log1p(1.0 / n_mean)

@@ -143,6 +143,31 @@ def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
     assert "speed_m_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["in_process", "cli"])
+@pytest.mark.parametrize("command", ["run", "measure"])
+@pytest.mark.parametrize("dx", ["1e200", "1e-156"])
+def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, command, via, tmp_path, capsys):
+    """1e200 m overflowed into a traceback and 1e-156 m was blamed on
+    a_coeff, a field the config does not have."""
+    config = tmp_path / "dx.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace("initial_dx_m = 8.081275e-36", f"initial_dx_m = {dx}")
+        + "\n[observation]\ncenters_m = 0.0\nalpha_per_m2 = 1.0\ngamma_per_m2 = 1e-5\n"
+    )
+    if via == "cli":
+        result = run_cli(command, "--config", str(config))
+        code, err = result.returncode, result.stderr
+    else:
+        code, err = main([command, "--config", str(config)]), capsys.readouterr().err
+    assert code == 3
+    assert f"initial_dx_m = {float(dx)!r} gives a state that is not representable" in err
+
+
+def test_spectrum_overflow_says_finite_and_nonnegative(capsys):
+    assert main(["spectrum", "--A=1e308", "--B=1e308", "--C=1e-308"]) == 3
+    assert "validation error: mean excitation must be finite and nonnegative, got inf\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["-1", "nan", "1e400", "0", "1e-300"])
 def test_bad_initial_dx_planck_lengths_exits_3_naming_the_key(bad, tmp_path, capsys):
     config = tmp_path / "dx.ini"

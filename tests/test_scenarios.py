@@ -1,22 +1,30 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from _sweep import random_config, sweep
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment
 from decogauss.scenarios import (
     _KEYS,
+    _fmt,
+    _fmt_dev,
+    _json_num,
+    _sections,
     AmbiguityError,
     ConfigParseError,
     MissingKeyError,
     ObservationFamilySpec,
+    ProfileRow,
     Scenario,
     UnknownKeyError,
     baseball_scenario,
@@ -463,6 +471,91 @@ def test_json_round_trips_at_nine_digits(baseball_report):
     assert (json.dumps(parsed, indent=2) + "\n").encode() == data
     entropy = next(r for r in parsed["scalars"] if r["name"] == "entropy_nats")
     assert entropy["value"] == pytest.approx(60.9853331, rel=1e-8)
+
+
+def _parsed(cell):
+    return float(cell) if cell else None
+
+
+def _json_dumps_reference(report):
+    """The JSON report as json.dumps writes it from the text walk's cells,
+    each number cell parsed back into a float."""
+    payload = {"scenario": report.scenario_name}
+    for section, columns, rows in _sections(report):
+        payload[section] = [
+            {
+                column: cell if column in ("name", "unit", "description", "stated") else _parsed(cell)
+                for column, cell in zip(columns, row)
+            }
+            for row in rows
+        ]
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+_EDGES = (1e-5, 1e-4, 1e3, 1e9, 1e16)  # where .9g, .3g or repr switch notation
+_SPELLED = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,
+    1.7976931348623157e308, 9.995e307, 999.5, 9995.0,
+    *(edge * k for edge in _EDGES for k in (0.999, 1.0, 1.001)),
+    *(math.nextafter(edge, toward) for edge in _EDGES for toward in (0.0, math.inf)),
+]
+
+
+def _assert_spelled_as_json_dumps(value):
+    assert _json_num(value) == json.dumps(_parsed(_fmt(value)))
+    assert _json_num(value, ".3g") == json.dumps(_parsed(_fmt_dev(value)))
+
+
+@pytest.mark.parametrize("value", [sign * v for v in _SPELLED for sign in (1.0, -1.0)])
+def test_json_number_spelling_at_the_edges(value):
+    _assert_spelled_as_json_dumps(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.none() | st.floats())
+def test_json_number_spelling_property(value):
+    _assert_spelled_as_json_dumps(value)
+
+
+_AWKWARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600 ab') | st.characters(), max_size=16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    centres=st.integers(0, 32),
+    samples=st.sampled_from([1, 8, 256, 512]),
+    name=st.sampled_from(["baseball"]) | _AWKWARD,
+    extra_profile=st.lists(st.tuples(st.floats(), st.floats()), max_size=3),
+    keep=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_json_emit_is_json_dumps_indent_2(seed, centres, samples, name, extra_profile, keep):
+    """Random scenarios, renamed, with any floats appended to the profile
+    and any sections emptied, emit the bytes json.dumps(indent=2) writes."""
+    config = random_config(random.Random(seed), "baseball" if name == "baseball" else "sweep", centres)
+    report = run(load_scenario(config), samples=samples)
+    report = dataclasses.replace(
+        report, scenario_name=name, profile=report.profile + tuple(ProfileRow(*p) for p in extra_profile)
+    )
+    sections = ("scalars", "trajectory", "discrepancies", "profile")
+    report = dataclasses.replace(report, **{section: () for section, kept in zip(sections, keep) if not kept})
+    data = emit(report, "json")
+    assert data == _json_dumps_reference(report)
+    assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+
+
+# sha256 over the text, CSV and JSON bytes of every report of sweep(0, 150),
+# captured while the JSON report was still written by json.dumps
+_SWEEP_SHA256 = "05200f932156dd15add4d5c60a31cd04bad8993593ce66b7e5a1af55576e7c82"
+
+
+def test_seeded_reports_keep_their_bytes():
+    digest = hashlib.sha256()
+    for text, samples in sweep(0, 150):
+        report = run(load_scenario(text), samples=samples)
+        for fmt in ("text", "csv", "json"):
+            digest.update(emit(report, fmt))
+    assert digest.hexdigest() == _SWEEP_SHA256
 
 
 def test_emit_rejects_unknown_format(baseball_report):

@@ -81,6 +81,17 @@ def test_eigenvalue_rejects_bad_arguments():
         eigenvalue(-0.5, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: eigenvalue(n, 0), von_neumann_entropy, lambda n: truncation_index(n, 0.5)],
+    ids=["eigenvalue", "von_neumann_entropy", "truncation_index"],
+)
+@pytest.mark.parametrize("n_mean", [math.inf, math.nan, -1.0])
+def test_bad_mean_excitation_message(call, n_mean):
+    with pytest.raises(ValueError, match=r"^mean excitation must be finite and nonnegative, got "):
+        call(n_mean)
+
+
 # --- entropy --------------------------------------------------------------------
 
 def test_entropy_pure_is_zero():
