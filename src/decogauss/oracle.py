@@ -331,17 +331,58 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
 
 
 def eigendecompose_kernel(grid: GridState, count: int):
-    """Top eigenvalues (descending) and grid eigenvectors of kernel * spacing."""
+    """Top eigenvalues (descending) and grid eigenvectors of kernel * spacing.
+
+    The kernel must be Hermitian and symmetric under the grid reflection
+    J: x_i <-> x_{n-1-i}, as every centred Gaussian on a centred window is
+    (rho(-x, -x') = rho(x, x')); either deviation above 1e-10 * max(1, peak)
+    raises ValueError.  J splits the kernel into its even and odd sectors.
+    With m = n // 2, L = v[:m, :m] and R[i, j] = v[i, n-1-j], the even block
+    is L + R (for odd n bordered by sqrt(2) times the centre row and by the
+    centre element) and the odd block is L - R.  Each half-size block gets
+    its own LAPACK eigh; the spectra merge in descending order, and a sector
+    vector u lifts to [u/sqrt(2), (u_centre), +-reversed(u)/sqrt(2)], so
+    eigenvector k of a Gaussian ladder has parity (-1)^k.
+    """
     if not (1 <= count <= 32):
         raise ValueError(f"count must be between 1 and 32, got {count}")
+    v, n = grid.values, grid.n_points
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(v))))
     herm = grid.hermiticity_error()
-    if herm > 1e-10 * max(1.0, float(np.max(np.abs(grid.values)))):
+    if herm > bound:
         raise ValueError(f"grid is not Hermitian: deviation {herm:.3e}")
+    # v - JvJ is odd under J, so its top (n + 1) // 2 rows hold its maximum
+    rows = (n + 1) // 2
+    asym = float(np.max(np.abs(v[:rows] - v[::-1, ::-1][:rows])))
+    if asym > bound:
+        raise ValueError(f"grid is not reflection symmetric: deviation {asym:.3e}")
+
+    m = n // 2
+    left, right = v[:m, :m], v[:m, ::-1][:, :m]
+    even = np.empty((n - m, n - m), dtype=v.dtype)
+    np.add(left, right, out=even[:m, :m])
+    if n % 2:
+        even[:m, m] = math.sqrt(2.0) * v[:m, m]
+        even[m, :m] = math.sqrt(2.0) * v[m, :m]
+        even[m, m] = v[m, m]
+    even *= grid.spacing
+    odd = np.subtract(left, right)
+    odd *= grid.spacing
     try:
-        eigvals, eigvecs = np.linalg.eigh(grid.values * grid.spacing)
+        even_vals, even_vecs = np.linalg.eigh(even)
+        odd_vals, odd_vecs = np.linalg.eigh(odd)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure
         raise DecompositionError(str(exc)) from exc
-    # eigh returns ascending eigenvalues; copy the top eigenvectors so the
-    # caller does not keep all n alive
-    return eigvals[::-1][:count], eigvecs[:, ::-1][:, :count].copy()
+
+    # eigh returns ascending eigenvalues; merge the two descending spectra
+    # and lift only the top count vectors, so the caller keeps no n x n array
+    eigvals = np.concatenate([even_vals[::-1], odd_vals[::-1]])
+    top = np.argsort(-eigvals, kind="stable")[:count]
+    is_even = top < n - m
+    sector = np.zeros((n - m, len(top)), dtype=even_vecs.dtype)
+    sector[:, is_even] = even_vecs[:, ::-1][:, top[is_even]]
+    sector[:m, ~is_even] = odd_vecs[:, ::-1][:, top[~is_even] - (n - m)]
+    half = sector[:m] / math.sqrt(2.0)
+    parity = np.where(is_even, 1.0, -1.0)
+    return eigvals[top], np.concatenate([half, sector[m:], parity * half[::-1]])
 

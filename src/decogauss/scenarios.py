@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -305,6 +306,12 @@ def evolve_scenario(
             f"initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
             f" in SI or Planck units: {exc}"
         ) from None
+    if tau_planck == 0.0:
+        # evolution_time_s is positive, so only an underflow of hbar*t/m gets here
+        raise ValueError(
+            f"scenario.evolution_time_s = {scenario.evolution_time_s!r} and particle.mass_kg = "
+            f"{particle.mass!r} give a rescaled time hbar*t/m that underflows to 0"
+        )
     return ScenarioEvolution(
         scenario, constants, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck,
         state, state_si,
@@ -358,7 +365,14 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     summary = spectral_summary(state)
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
-    sqrt_ac = math.sqrt(state.a_coeff * state.c_coeff)
+    # A and C can each be representable while their product is not
+    # (initial_dx_m = 1e-150 m: A ~ 2e-23, C ~ 6e-306); only there take the
+    # roots apart, so every other report keeps its last digit
+    product = state.a_coeff * state.c_coeff
+    if sys.float_info.min <= product < math.inf:
+        sqrt_ac = math.sqrt(product)
+    else:
+        sqrt_ac = math.sqrt(state.a_coeff) * math.sqrt(state.c_coeff)
 
     is_baseball = scenario.name == "baseball"
     rows: list[ScalarRow] = []

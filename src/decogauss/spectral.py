@@ -82,12 +82,17 @@ def von_neumann_entropy(n_mean: float) -> float:
 
     Evaluated as ln(N+1) + N ln(1 + 1/N) through log1p, which keeps both
     the small-N limit and the large-N asymptote ln N + 1 + 1/(2N) exact.
+    Where 1/N overflows (subnormal N), N ln(1 + 1/N) is taken as
+    N (ln(1+N) - ln N) instead.
     """
     if not (math.isfinite(n_mean) and n_mean >= 0.0):
         raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
     if n_mean == 0.0:
         return 0.0
-    return math.log1p(n_mean) + n_mean * math.log1p(1.0 / n_mean)
+    inverse = 1.0 / n_mean
+    if inverse == math.inf:
+        return math.log1p(n_mean) + n_mean * (math.log1p(n_mean) - math.log(n_mean))
+    return math.log1p(n_mean) + n_mean * math.log1p(inverse)
 
 
 def captured_mass(n_mean: float, n_max: int) -> float:

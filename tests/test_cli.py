@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from decogauss import oracle
 from decogauss.cli import main
 from decogauss.scenarios import baseball_scenario, dump_scenario
+from decogauss.units import CONSTANTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +163,46 @@ def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, command, via, tmp
         code, err = main([command, "--config", str(config)]), capsys.readouterr().err
     assert code == 3
     assert f"initial_dx_m = {float(dx)!r} gives a state that is not representable" in err
+
+
+@pytest.mark.parametrize(
+    "dx, time",
+    [("1e-150", "6.446748185397342"), ("5e-116", "1e-210")],
+    ids=["underflow", "overflow"],
+)
+def test_unrepresentable_coefficient_product_still_reports(dx, time, tmp_path):
+    """A and C can be representable while A*C is not.  At 1e-150 m the
+    evolved A ~ 2e-23 and C ~ 6e-306 gave a division by zero and exit 1; at
+    5e-116 m and 1e-210 s, A = C ~ 1.3e160 gave a ground-state variance 0."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario())
+        .replace("name = baseball", "name = tiny")
+        .replace("initial_dx_m = 8.081275e-36", f"initial_dx_m = {dx}")
+        .replace("evolution_time_s = 6.446748185397342", f"evolution_time_s = {time}")
+    )
+    result = run_cli("run", "--config", str(config), "--format", "json", "--samples", "1")
+    assert result.returncode == 0, result.stderr
+    rows = {row["name"]: row["value"] for row in json.loads(result.stdout)["scalars"]}
+    l_pl = CONSTANTS.planck_length
+    root = math.sqrt(rows["coeff_A_planck"]) * math.sqrt(rows["coeff_C_planck"])
+    assert math.isclose(rows["ground_state_variance_m2"], l_pl * l_pl / (8.0 * root), rel_tol=2e-8)
+
+
+def test_underflowing_rescaled_time_exits_3_naming_both_keys(tmp_path):
+    """hbar*t/m underflows to 0 at t = 1e-200 s and m = 1e200 kg, and the
+    tau consistency row divided by it."""
+    config = tmp_path / "heavy.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario())
+        .replace("name = baseball", "name = heavy")
+        .replace("evolution_time_s = 6.446748185397342", "evolution_time_s = 1e-200")
+        .replace("mass_kg = 0.1459553", "mass_kg = 1e200")
+    )
+    result = run_cli("run", "--config", str(config))
+    assert result.returncode == 3
+    assert "scenario.evolution_time_s = 1e-200 and particle.mass_kg = 1e+200" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_spectrum_overflow_says_finite_and_nonnegative(capsys):

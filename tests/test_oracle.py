@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -301,3 +303,55 @@ def test_eigendecompose_rejects_non_hermitian():
     broken = GridState(grid.x_min, grid.x_max, grid.n_points, values)
     with pytest.raises(ValueError):
         eigendecompose_kernel(broken, 4)
+
+
+# the three states of acceptance criterion 13, on its centred window
+CRITERION_13_STATES = [
+    MIXED,
+    GaussianDensityMatrix(1.3, 0.4, 0.5),
+    GaussianDensityMatrix(2.2, 0.0, 1.1),
+]
+
+
+def criterion_13_span(state):
+    return 8.0 * math.sqrt(1.0 / (8.0 * state.c_coeff)) + 2.0
+
+
+@pytest.mark.parametrize("n_points", [128, 129, 256, 257])
+@pytest.mark.parametrize("state", CRITERION_13_STATES)
+def test_eigendecompose_parity_sectors_match_the_full_solve(state, n_points):
+    span = criterion_13_span(state)
+    grid = discretize(state, -span, span, n_points)
+    eigvals, eigvecs = eigendecompose_kernel(grid, 8)
+    full = np.linalg.eigh(grid.values * grid.spacing).eigenvalues[::-1][:8]
+    assert eigvals.dtype == np.float64 and eigvecs.dtype == np.complex128
+    assert eigvals.shape == (8,) and eigvecs.shape == (n_points, 8)
+    assert np.max(np.abs(eigvals - full)) <= 1e-13
+    assert np.max(np.abs(eigvecs.conj().T @ eigvecs - np.eye(8))) <= 1e-13
+    for k in range(8):
+        assert np.array_equal(eigvecs[::-1, k], (-1) ** k * eigvecs[:, k])
+
+
+def test_eigendecompose_rejects_an_off_centre_window():
+    # a centred state on a window shifted off the origin has no reflection
+    # symmetry, so the parity sectors do not decouple
+    span = criterion_13_span(MIXED)
+    grid = discretize(MIXED, -span, span + 3.0, 256)
+    with pytest.raises(ValueError, match="not reflection symmetric: deviation 2.57"):
+        eigendecompose_kernel(grid, 8)
+
+
+def test_eigendecompose_imports_no_scipy():
+    # a subset scipy.linalg.eigh would put its import, about 0.26 s, into
+    # every process that checks the spectrum
+    code = (
+        "import sys, math\n"
+        "from decogauss.evolution import GaussianDensityMatrix\n"
+        "from decogauss.oracle import discretize, eigendecompose_kernel\n"
+        "grid = discretize(GaussianDensityMatrix(0.75, -0.5, 0.0625), -14.0, 14.0, 128)\n"
+        "eigendecompose_kernel(grid, 8)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

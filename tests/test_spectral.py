@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,15 @@ def test_entropy_asymptotic_form():
     for n_mean in (150.0, 1e4, 1e10):
         asymptotic = math.log(n_mean) + 1.0 + 1.0 / (2.0 * n_mean)
         assert von_neumann_entropy(n_mean) == pytest.approx(asymptotic, rel=1e-4)
+
+
+@pytest.mark.parametrize("n_mean", [5e-324, 1e-310, 1e-300])
+def test_entropy_of_nearly_pure_states_against_mpmath(n_mean):
+    # below about 5.6e-309, 1/N overflows and log1p(1/N) read inf
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n_mean)
+        exact = float((n + 1) * mpmath.log1p(n) - n * mpmath.log(n))
+    assert abs(von_neumann_entropy(n_mean) - exact) <= 2 * math.ulp(exact)
 
 
 @pytest.mark.parametrize("n_mean", [0.1, 1.0, 10.0, 100.0])
