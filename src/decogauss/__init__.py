@@ -31,7 +31,7 @@ from .model import (
     lambda_coefficient,
     tau_from_time,
 )
-from .observation import ObservationOperator, make_operator, measure, measure_profile
+from .observation import ObservationOperator, measure, measure_profile
 from .scenarios import (
     Report,
     Scenario,

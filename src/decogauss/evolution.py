@@ -137,9 +137,6 @@ class CubicSolution:
     def x_prime(self, tau: float) -> float:
         return self.a1 + tau * (2.0 * self.a2 + 3.0 * self.lam * tau)
 
-    def x_second(self, tau: float) -> float:
-        return 2.0 * self.a2 + 6.0 * self.lam * tau
-
 
 def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSolution:
     """Coefficients a0 = 1/(8C), a1 = -B/(2C), a2 = 2A + B^2/(2C) at tau = 0."""

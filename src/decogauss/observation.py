@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
 
-__all__ = ["ObservationOperator", "make_operator", "measure", "measure_profile"]
+__all__ = ["ObservationOperator", "measure", "measure_profile"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class ObservationOperator:
     center: float  # length
     alpha: float   # 1/length^2, relative-coordinate width
     gamma: float   # 1/length^2, center-coordinate width
-    norm: float    # fixed by unit trace
 
     def __post_init__(self):
         if not (math.isfinite(self.center)):
@@ -43,8 +42,11 @@ class ObservationOperator:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if not (math.isfinite(self.norm) and self.norm > 0.0):
-            raise ValueError(f"norm must be positive, got {self.norm!r}")
+
+    @property
+    def norm(self) -> float:
+        """Fixed by unit trace."""
+        return 2.0 * math.sqrt(self.gamma / math.pi)
 
     def kernel(self, x, xp):
         """Operator kernel values; arguments broadcast."""
@@ -55,18 +57,6 @@ class ObservationOperator:
         y = x - xp
         zc = x + xp - 2.0 * self.center
         return self.norm * np.exp(-(self.alpha * y * y + self.gamma * zc * zc))
-
-
-def make_operator(center: float, alpha: float, gamma: float) -> ObservationOperator:
-    """Window at ``center`` with unit trace: norm = 2 sqrt(gamma/pi)."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return ObservationOperator(
-        center=center,
-        alpha=alpha,
-        gamma=gamma,
-        norm=2.0 * math.sqrt(gamma / math.pi),
-    )
 
 
 def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
@@ -93,6 +83,6 @@ def measure_profile(
     if not centers:
         raise ValueError("center list must be nonempty")
     return [
-        (x_k, measure(make_operator(x_k, alpha, gamma), state))
+        (x_k, measure(ObservationOperator(x_k, alpha, gamma), state))
         for x_k in centers
     ]

@@ -50,11 +50,7 @@ class DomainCoverageError(ValueError):
 
 
 class IntegrationFailureError(RuntimeError):
-    """Time stepping went unstable; carries the step index."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+    """The integration step went unstable."""
 
 
 class FitQualityError(ValueError):
@@ -110,17 +106,6 @@ class GridState:
     def hermiticity_error(self) -> float:
         return _hermiticity_error(self.values)
 
-    def purity(self) -> float:
-        """tr(rho^2) = h^2 sum |rho_ij|^2 for Hermitian kernels."""
-        return float(self.spacing**2 * np.sum(np.abs(self.values) ** 2))
-
-    def position_variance(self) -> float:
-        diag = np.real(np.diag(self.values))
-        h = self.spacing
-        mean = float(np.sum(self.xs * diag) * h)
-        second = float(np.sum(self.xs**2 * diag) * h)
-        return second - mean * mean
-
     def momentum_variance(self) -> float:
         """(dp/hbar)^2 = tr(p^2 rho) = h sum_ij P_ij rho_ij, with P the
         -d^2/dx^2 matrix of the band-limited interpolant on the periodic grid
@@ -170,82 +155,56 @@ def discretize(
     return grid
 
 
-def integrate_master_equation(
-    grid: GridState,
-    lam: float,
-    tau_end: float,
-    n_steps: int | None = None,
-    terms: str = "full",
-) -> GridState:
-    """Evolve the grid from tau = 0 to tau_end by corrected Strang splitting.
+def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> GridState:
+    """Evolve the grid from tau = 0 to tau_end in one corrected Strang step.
 
-    A step of size h is S(h) = F(h/2) D(h) F(h/2), with the pointwise damping
-    D(h) = exp(-(3 lam / 2) y^2 h) and the free flight F(h), the factor
-    exp((i/2)(k'^2 - k^2) h) in 2-D Fourier space.  With y = x - x' and
-    z = x + x', damping A = -(3 lam / 2) y^2 and transport B = 2i d_y d_z give
-    [A, [A, B]] = 0 and a central [B, [B, A]] = 12 lam d_z^2, so BCH ends at
-    h^3: S(h) = exp(h L) exp(-(lam / 2) h^3 d_z^2) exactly.  Multiplying the
-    spectrum once by exp(-(lam / 8) n_steps h^3 (k + k')^2) removes that for
-    every step, so the result is independent of n_steps (default 1) to
-    rounding.  No factor exceeds modulus 1, so no step size is unstable, and
-    merged half flights make n steps cost n + 1 FFT pairs.  (The order D F D
-    needs the anti-diffusive exp(+(lam / 4) h^3 (k + k')^2) and blows up.)
+    With h = tau_end the step is S(h) = F(h/2) D(h) F(h/2), with the
+    pointwise damping D(h) = exp(-(3 lam / 2) y^2 h) and the free flight
+    F(h), the factor exp((i/2)(k'^2 - k^2) h) in 2-D Fourier space.  With
+    y = x - x' and z = x + x', damping A = -(3 lam / 2) y^2 and transport
+    B = 2i d_y d_z give [A, [A, B]] = 0 and a central [B, [B, A]] =
+    12 lam d_z^2, so BCH ends at h^3: S(h) = exp(h L) exp(-(lam / 2) h^3 d_z^2)
+    exactly.  Multiplying the spectrum by exp(-(lam / 8) h^3 (k + k')^2)
+    removes that, so the one step is exact to rounding.  No factor exceeds
+    modulus 1, so no interval is unstable.  (The order D F D needs the
+    anti-diffusive exp(+(lam / 4) h^3 (k + k')^2) and blows up.)
 
-    terms="damping" integrates the pointwise damping term alone (exact
-    solution exp(-(3 lam / 2) y^2 tau) rho0), used to pin the damping
-    constant independently of the transport term.
-
-    Raises IntegrationFailureError if, after a step's damping, the sup norm
-    has grown by more than 10x or Hermiticity drifted past 1e-10.
+    Raises IntegrationFailureError if, after the damping, the sup norm has
+    grown by more than 10x or Hermiticity drifted past 1e-10.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if tau_end < 0.0 or not math.isfinite(tau_end):
         raise ValueError(f"tau_end must be nonnegative, got {tau_end!r}")
-    if terms not in ("full", "damping"):
-        raise ValueError(f"terms must be 'full' or 'damping', got {terms!r}")
-    n_steps = 1 if n_steps is None else n_steps
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
 
-    h = tau_end / n_steps
+    h = tau_end
     xs = grid.xs
     damp = np.exp(-1.5 * lam * h * (xs[:, None] - xs[None, :]) ** 2)
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
     phase_k = np.exp(0.25j * h * k * k)
     half = phase_k.conj()[:, None] * phase_k[None, :]
-    whole = half * half if n_steps > 1 else None
-    factor = half * np.exp(-0.125 * lam * n_steps * h**3 * (k[:, None] + k[None, :]) ** 2)
+    corrected = half * np.exp(-0.125 * lam * h**3 * (k[:, None] + k[None, :]) ** 2)
 
-    def flight(rho, factor):
-        # in place on the integrator's own copy; ifftn, because numpy 2's
-        # ifft2 drops its out= argument
-        if terms == "damping":
-            return rho
-        rho = np.fft.fftn(rho, out=rho)
-        rho *= factor
-        return np.fft.ifftn(rho, out=rho)
-
+    # in place on the integrator's own copy; ifftn, because numpy 2's
+    # ifft2 drops its out= argument
     rho = grid.values.astype(np.complex128, copy=True)
     initial_peak = float(np.max(np.abs(rho)))
-    for step in range(1, n_steps + 1):
-        rho = flight(rho, factor)
-        rho *= damp
-        factor = whole
-        peak = float(np.max(np.abs(rho)))
-        if not math.isfinite(peak) or peak > 10.0 * initial_peak:
-            raise IntegrationFailureError(
-                f"instability detected at step {step}/{n_steps}: "
-                f"sup norm grew from {initial_peak:.3e} to {peak:.3e}",
-                step=step,
-            )
-        herm = _hermiticity_error(rho)
-        if herm > 1e-10 * max(1.0, initial_peak):
-            raise IntegrationFailureError(
-                f"Hermiticity drifted to {herm:.3e} at step {step}/{n_steps}",
-                step=step,
-            )
-    rho = flight(rho, half)
+    rho = np.fft.fftn(rho, out=rho)
+    rho *= corrected
+    del corrected  # free before the Hermiticity guard allocates its adjoint
+    rho = np.fft.ifftn(rho, out=rho)
+    rho *= damp
+    peak = float(np.max(np.abs(rho)))
+    if not math.isfinite(peak) or peak > 10.0 * initial_peak:
+        raise IntegrationFailureError(
+            f"instability detected: sup norm grew from {initial_peak:.3e} to {peak:.3e}"
+        )
+    herm = _hermiticity_error(rho)
+    if herm > 1e-10 * max(1.0, initial_peak):
+        raise IntegrationFailureError(f"Hermiticity drifted to {herm:.3e}")
+    rho = np.fft.fftn(rho, out=rho)
+    rho *= half
+    rho = np.fft.ifftn(rho, out=rho)
     return GridState(grid.x_min, grid.x_max, grid.n_points, rho)
 
 

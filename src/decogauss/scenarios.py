@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -44,7 +43,12 @@ from .model import (
     _require_positive,
 )
 from .observation import measure_profile
-from .spectral import mean_excitation, spectral_summary, von_neumann_entropy
+from .spectral import (
+    eigenstate_spec,
+    mean_excitation,
+    spectral_summary,
+    von_neumann_entropy,
+)
 from .units import CONSTANTS, PhysicalConstants
 
 __all__ = [
@@ -365,14 +369,6 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     summary = spectral_summary(state)
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
-    # A and C can each be representable while their product is not
-    # (initial_dx_m = 1e-150 m: A ~ 2e-23, C ~ 6e-306); only there take the
-    # roots apart, so every other report keeps its last digit
-    product = state.a_coeff * state.c_coeff
-    if sys.float_info.min <= product < math.inf:
-        sqrt_ac = math.sqrt(product)
-    else:
-        sqrt_ac = math.sqrt(state.a_coeff) * math.sqrt(state.c_coeff)
 
     is_baseball = scenario.name == "baseball"
     rows: list[ScalarRow] = []
@@ -425,7 +421,11 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     add("entropy_nats", summary.entropy_nats, "nat")
     add("p0", summary.p0, "1")
     add("purity", purity(state), "1")
-    add("ground_state_variance_m2", l_pl * l_pl / (8.0 * sqrt_ac), "m^2")
+    add(
+        "ground_state_variance_m2",
+        l_pl * l_pl / (4.0 * eigenstate_spec(state, 0).width_parameter),
+        "m^2",
+    )
     if lam_si > 0.0:
         period_s = (
             2.0

@@ -20,7 +20,7 @@ from decogauss.evolution import (
     position_variance,
     purity,
 )
-from decogauss.observation import make_operator, measure
+from decogauss.observation import ObservationOperator, measure
 from decogauss.oracle import (
     discretize,
     eigendecompose_kernel,
@@ -313,7 +313,7 @@ def test_criterion_15_observation_measures():
         ratio = rng.uniform(1.0, 10.0)
         b0 = rng.uniform(-1.5, 1.5)
         state = GaussianDensityMatrix(ratio * c0, b0, c0)
-        op = make_operator(
+        op = ObservationOperator(
             center=rng.uniform(-2.5, 2.5),
             alpha=rng.uniform(0.0, 2.5),
             gamma=rng.uniform(0.1, 3.0),
@@ -322,7 +322,7 @@ def test_criterion_15_observation_measures():
         reference = quad_measure(op, state)
         worst = max(worst, abs(closed - reference) / reference)
 
-        mirrored = measure(make_operator(-op.center, op.alpha, op.gamma), state)
+        mirrored = measure(ObservationOperator(-op.center, op.alpha, op.gamma), state)
         flipped = measure(op, GaussianDensityMatrix(state.a_coeff, -b0, c0))
         assert abs(mirrored - closed) <= 1e-10 * closed
         assert abs(flipped - closed) <= 1e-10 * closed

@@ -239,11 +239,11 @@ def test_oracle_check_passes():
 
 def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):
     def unstable(*args, **kwargs):
-        raise oracle.IntegrationFailureError("instability detected at step 1/1", step=1)
+        raise oracle.IntegrationFailureError("instability detected")
 
     monkeypatch.setattr(oracle, "integrate_master_equation", unstable)
     assert main(["oracle-check", "--samples", "1"]) == 3
-    assert capsys.readouterr().err == "validation error: instability detected at step 1/1\n"
+    assert capsys.readouterr().err == "validation error: instability detected\n"
 
 
 def test_oracle_check_other_runtime_errors_propagate(monkeypatch):

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import o1_states
 from decogauss.evolution import GaussianDensityMatrix
-from decogauss.observation import make_operator, measure, measure_profile
+from decogauss.observation import ObservationOperator, measure, measure_profile
 from _quad import quad_measure, quad_mixture_measure
 
 STATE = GaussianDensityMatrix(0.75, -0.5, 0.0625)
 
 
 def test_norm_fixed_by_unit_trace():
-    op = make_operator(0.0, 1.0, math.pi / 4.0)
+    op = ObservationOperator(0.0, 1.0, math.pi / 4.0)
     assert op.norm == pytest.approx(1.0, rel=1e-14)
     # quadrature of the diagonal: integral of exp(-4 gamma (x - x_k)^2)
     xs = np.linspace(-30, 30, 20001)
@@ -24,8 +24,8 @@ def test_norm_fixed_by_unit_trace():
 
 def test_translation_covariance():
     shift = 1.7
-    op0 = make_operator(0.3, 0.8, 1.1)
-    op1 = make_operator(0.3 + shift, 0.8, 1.1)
+    op0 = ObservationOperator(0.3, 0.8, 1.1)
+    op1 = ObservationOperator(0.3 + shift, 0.8, 1.1)
     xs = np.linspace(-3, 3, 41)
     k0 = op0.kernel(xs[:, None], xs[None, :])
     k1 = op1.kernel(xs[:, None] + shift, xs[None, :] + shift)
@@ -33,35 +33,35 @@ def test_translation_covariance():
 
 
 def test_alpha_zero_is_pure_position_window():
-    op = make_operator(0.0, 0.0, 2.0)
+    op = ObservationOperator(0.0, 0.0, 2.0)
     # kernel depends on x + x' only: shifting along the antidiagonal is free
     assert op.kernel(1.3, -0.2) == pytest.approx(op.kernel(0.55, 0.55), rel=1e-14)
 
 
-def test_make_operator_rejects_bad_widths():
+def test_operator_rejects_bad_widths():
     with pytest.raises(ValueError):
-        make_operator(0.0, 1.0, 0.0)
+        ObservationOperator(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        make_operator(0.0, 1.0, -2.0)
+        ObservationOperator(0.0, 1.0, -2.0)
     with pytest.raises(ValueError):
-        make_operator(0.0, -1e-3, 1.0)
+        ObservationOperator(0.0, -1e-3, 1.0)
 
 
 def test_measure_matches_quadrature_basic():
     for center in (0.0, 0.8, -2.5):
-        op = make_operator(center, 0.6, 1.4)
+        op = ObservationOperator(center, 0.6, 1.4)
         assert measure(op, STATE) == pytest.approx(quad_measure(op, STATE), rel=1e-8)
 
 
 def test_measure_matches_quadrature_alpha_zero():
-    op = make_operator(0.5, 0.0, 2.0)
+    op = ObservationOperator(0.5, 0.0, 2.0)
     assert measure(op, STATE) == pytest.approx(quad_measure(op, STATE), rel=1e-8)
 
 
 def test_measure_matches_scipy_dblquad():
     from scipy.integrate import dblquad
 
-    op = make_operator(0.4, 0.7, 1.2)
+    op = ObservationOperator(0.4, 0.7, 1.2)
 
     def integrand(xp, x):
         return float(np.real(op.kernel(x, xp) * STATE.kernel(xp, x)))
@@ -71,35 +71,35 @@ def test_measure_matches_scipy_dblquad():
 
 
 def test_measure_grows_with_gamma_toward_peak():
-    values = [measure(make_operator(0.0, 0.5, g), STATE) for g in (1.0, 10.0, 100.0)]
+    values = [measure(ObservationOperator(0.0, 0.5, g), STATE) for g in (1.0, 10.0, 100.0)]
     assert values[0] < values[1] < values[2]
     for g, v in zip((1.0, 10.0, 100.0), values):
-        assert v == pytest.approx(quad_measure(make_operator(0.0, 0.5, g), STATE), rel=1e-8)
+        assert v == pytest.approx(quad_measure(ObservationOperator(0.0, 0.5, g), STATE), rel=1e-8)
 
 
 def test_measure_parity_symmetry():
     for s in (0.5, 1.5, 4.0):
-        plus = measure(make_operator(+s, 0.6, 1.4), STATE)
-        minus = measure(make_operator(-s, 0.6, 1.4), STATE)
+        plus = measure(ObservationOperator(+s, 0.6, 1.4), STATE)
+        minus = measure(ObservationOperator(-s, 0.6, 1.4), STATE)
         assert plus == minus
 
 
 def test_measure_localization_sensitivity():
     width = math.sqrt(1.0 / (8.0 * STATE.c_coeff))
-    near = measure(make_operator(0.0, 0.6, 1.4), STATE)
-    far = measure(make_operator(10.0 * width, 0.6, 1.4), STATE)
+    near = measure(ObservationOperator(0.0, 0.6, 1.4), STATE)
+    far = measure(ObservationOperator(10.0 * width, 0.6, 1.4), STATE)
     assert near / far > 1e3
 
 
 def test_measure_monotone_in_center_distance():
     centers = np.linspace(0.0, 6.0, 25)
     state = GaussianDensityMatrix(0.9, 0.0, 0.2)
-    values = [measure(make_operator(c, 0.4, 1.1), state) for c in centers]
+    values = [measure(ObservationOperator(c, 0.4, 1.1), state) for c in centers]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_measure_linear_in_state():
-    op = make_operator(0.6, 0.5, 1.0)
+    op = ObservationOperator(0.6, 0.5, 1.0)
     s1 = GaussianDensityMatrix(0.75, -0.5, 0.0625)
     s2 = GaussianDensityMatrix(1.4, 0.3, 0.9)
     xs = np.linspace(-12, 12, 1601)
@@ -109,7 +109,7 @@ def test_measure_linear_in_state():
 
 
 def test_measure_invariant_under_phase_conjugation():
-    op = make_operator(1.2, 0.4, 0.9)
+    op = ObservationOperator(1.2, 0.4, 0.9)
     plus = measure(op, GaussianDensityMatrix(0.75, 0.5, 0.0625))
     minus = measure(op, GaussianDensityMatrix(0.75, -0.5, 0.0625))
     assert plus == minus
@@ -123,7 +123,7 @@ def test_measure_invariant_under_phase_conjugation():
     gamma=st.floats(0.05, 4.0),
 )
 def test_measure_quadrature_property(state, center, alpha, gamma):
-    op = make_operator(center, alpha, gamma)
+    op = ObservationOperator(center, alpha, gamma)
     got = measure(op, state)
     assert got >= 0.0
     assert got == pytest.approx(quad_measure(op, state), rel=1e-7, abs=1e-30)
@@ -131,7 +131,7 @@ def test_measure_quadrature_property(state, center, alpha, gamma):
 
 def test_profile_singleton_matches_measure():
     rows = measure_profile([0.7], 0.5, 1.0, STATE)
-    assert rows == [(0.7, measure(make_operator(0.7, 0.5, 1.0), STATE))]
+    assert rows == [(0.7, measure(ObservationOperator(0.7, 0.5, 1.0), STATE))]
 
 
 def test_profile_palindromic_for_symmetric_centers():

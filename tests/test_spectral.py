@@ -197,6 +197,14 @@ def test_ground_state_density_is_gaussian():
     assert np.max(np.abs(density - pdf)) < 1e-10
 
 
+@pytest.mark.parametrize("a, c", [(1.3e160, 1.3e160), (2e-23, 6e-306)])
+def test_eigenstate_width_survives_a_product_outside_the_normal_range(a, c):
+    # A*C overflows, or underflows below the normal doubles, while each root
+    # is representable; the width must not come out infinite or zero
+    spec = eigenstate_spec(GaussianDensityMatrix(a, 0.0, c), 0)
+    assert spec.width_parameter == 2 * math.sqrt(a) * math.sqrt(c)
+
+
 def test_odd_eigenstate_vanishes_at_origin():
     spec = eigenstate_spec(MIXED, 1)
     assert abs(eigenstate_amplitude(spec, 0.0)) == 0.0

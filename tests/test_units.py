@@ -17,34 +17,19 @@ def test_planck_length_consistent_with_hbar_g_c():
     assert abs(derived - CONSTANTS.planck_length) <= 1e-6 * CONSTANTS.planck_length
 
 
-def test_planck_momentum_consistent_with_hbar_g_c():
-    derived = math.sqrt(CONSTANTS.hbar * CONSTANTS.c**3 / CONSTANTS.G)
-    assert abs(derived - CONSTANTS.planck_momentum) <= 1e-6 * CONSTANTS.planck_momentum
-
-
 def test_h_is_exactly_two_pi_hbar():
     assert CONSTANTS.h == 2.0 * math.pi * CONSTANTS.hbar
-
-
-def test_planck_mass_times_c_is_planck_momentum():
-    assert (
-        abs(CONSTANTS.planck_mass * CONSTANTS.c - CONSTANTS.planck_momentum)
-        <= 1e-6 * CONSTANTS.planck_momentum
-    )
 
 
 def test_inconsistent_constants_rejected():
     with pytest.raises(ValueError):
         PhysicalConstants(
             hbar=CONSTANTS.hbar,
-            h=CONSTANTS.h,
             c=CONSTANTS.c,
             G=CONSTANTS.G,
             boltzmann=CONSTANTS.boltzmann,
             g_gravity=CONSTANTS.g_gravity,
             planck_length=2e-35,  # off by ~24%
-            planck_momentum=CONSTANTS.planck_momentum,
-            planck_mass=CONSTANTS.planck_mass,
         )
 
 
@@ -68,14 +53,11 @@ BASEBALL = evolve_scenario(baseball_scenario())
 # a consistent constant set whose Planck length is one meter
 NATURAL = PhysicalConstants(
     hbar=1.0,
-    h=2.0 * math.pi,
     c=1.0,
     G=1.0,
     boltzmann=1.0,
     g_gravity=1.0,
     planck_length=1.0,
-    planck_momentum=1.0,
-    planck_mass=1.0,
 )
 
 
