@@ -159,12 +159,26 @@ def test_integration_rejects_bad_arguments():
         integrate_master_equation(grid, 1.0, -0.1)
 
 
-def test_integration_leaves_the_input_grid_untouched():
-    # the integrator transforms its own copy in place
+@pytest.mark.parametrize("path", ["full", "damping"])
+@pytest.mark.parametrize("n_calls", [1, 3])
+def test_integration_leaves_the_input_grid_untouched(path, n_calls):
+    # the integrator transforms its own copy in place, both when the step
+    # runs through ("full") and when its guard stops it after the damping
     grid = spanning_grid(MIXED, n_points=128)
+    if path == "damping":
+        values = grid.values.copy()
+        values[3, 5] += 0.1
+        grid = GridState(grid.x_min, grid.x_max, grid.n_points, values)
     before = grid.values.tobytes()
-    integrate_master_equation(grid, 1.0, 0.2)
+    results = []
+    for _ in range(n_calls):
+        if path == "full":
+            results.append(integrate_master_equation(grid, 1.0, 0.2).values.tobytes())
+        else:
+            with pytest.raises(IntegrationFailureError, match="Hermiticity"):
+                integrate_master_equation(grid, 1.0, 0.2)
     assert grid.values.tobytes() == before
+    assert len(set(results)) <= 1
 
 
 def _convergence_problem(sigmas=8.0):
