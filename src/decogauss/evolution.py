@@ -94,17 +94,17 @@ class CubicSolution:
     Validity (generating state positive) is a1^2 <= 4*a0*a2 - 1, which is
     exactly A(0) >= C(0); the combination 4*a0*a2 - a1^2 is A(0)/C(0).
 
-    ratio0 stores A(0)/C(0) explicitly.  When the cubic is derived from a
-    state the ratio is one division; recovering it from 4*a0*a2 - a1^2
-    cancels catastrophically for nearly pure, strongly chirped states
-    (both terms ~a1^2 >> 1), so it is never recomputed downstream.
+    ratio0 stores A(0)/C(0) explicitly.  Derived from a state the ratio is
+    one division; recovering it from 4*a0*a2 - a1^2 cancels catastrophically
+    for nearly pure, strongly chirped states (both terms ~a1^2 >> 1), so it
+    is only checked against that combination, never recomputed from it.
     """
 
     lam: float
     a2: float
     a1: float
     a0: float
-    ratio0: float | None = None
+    ratio0: float
 
     def __post_init__(self):
         for name in ("lam", "a2", "a1", "a0"):
@@ -114,22 +114,14 @@ class CubicSolution:
             raise ValueError(f"lam must be nonnegative, got {self.lam!r}")
         if self.a0 <= 0.0 or self.a2 <= 0.0:
             raise ValueError("a0 and a2 must be positive")
+        if not (math.isfinite(self.ratio0) and self.ratio0 >= 1.0 - _REL_SLACK):
+            raise ValueError(f"ratio0 must be at least 1, got {self.ratio0!r}")
         product = 4.0 * self.a0 * self.a2
         computed = product - self.a1 * self.a1
-        if self.ratio0 is None:
-            if computed < 1.0 - _REL_SLACK * max(1.0, product):
-                raise ValueError(
-                    "coefficients violate positivity of the generating state: "
-                    f"need a1^2 <= 4*a0*a2 - 1, got a1={self.a1!r}, 4*a0*a2={product!r}"
-                )
-            object.__setattr__(self, "ratio0", max(1.0, computed))
-        else:
-            if not (math.isfinite(self.ratio0) and self.ratio0 >= 1.0 - _REL_SLACK):
-                raise ValueError(f"ratio0 must be at least 1, got {self.ratio0!r}")
-            if abs(self.ratio0 - computed) > 1e-9 * max(1.0, product):
-                raise ValueError(
-                    f"ratio0={self.ratio0!r} inconsistent with 4*a0*a2 - a1^2 = {computed!r}"
-                )
+        if abs(self.ratio0 - computed) > 1e-9 * max(1.0, product):
+            raise ValueError(
+                f"ratio0={self.ratio0!r} inconsistent with 4*a0*a2 - a1^2 = {computed!r}"
+            )
 
     def x_value(self, tau: float) -> float:
         return self.a0 + tau * (self.a1 + tau * (self.a2 + self.lam * tau))

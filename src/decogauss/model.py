@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .units import CONSTANTS, PhysicalConstants
+from .units import CONSTANTS
 
 __all__ = [
     "FreeParticle",
@@ -84,11 +84,7 @@ def big_lambda(env: ScatteringEnvironment) -> float:
     )
 
 
-def air_environment(
-    air: AirModel,
-    particle: FreeParticle,
-    constants: PhysicalConstants = CONSTANTS,
-) -> ScatteringEnvironment:
+def air_environment(air: AirModel, particle: FreeParticle) -> ScatteringEnvironment:
     """Thermal-air environment for a hard sphere of the particle's radius.
 
     The rms molecular speed sqrt(3 kB T / m_a) serves as the mean relative
@@ -97,31 +93,23 @@ def air_environment(
     """
     if particle.radius is None:
         raise ValueError("particle needs a radius to derive a cross section")
-    v_rms = math.sqrt(3.0 * constants.boltzmann * air.temperature / air.molecular_mass)
+    v_rms = math.sqrt(3.0 * CONSTANTS.boltzmann * air.temperature / air.molecular_mass)
     return ScatteringEnvironment(
         number_density=air.mass_density / air.molecular_mass,
         cross_section=math.pi * particle.radius**2,
         mean_relative_velocity=v_rms,
-        rms_wavenumber=air.molecular_mass * v_rms / constants.hbar,
+        rms_wavenumber=air.molecular_mass * v_rms / CONSTANTS.hbar,
     )
 
 
-def lambda_coefficient(
-    localization_rate: float,
-    particle: FreeParticle,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def lambda_coefficient(localization_rate: float, particle: FreeParticle) -> float:
     """2*Lambda*m/(3*hbar), in 1/m^4.  Zero rate means free evolution."""
     if not (math.isfinite(localization_rate) and localization_rate >= 0.0):
         raise ValueError(f"localization rate must be nonnegative, got {localization_rate!r}")
-    return 2.0 * localization_rate * particle.mass / (3.0 * constants.hbar)
+    return 2.0 * localization_rate * particle.mass / (3.0 * CONSTANTS.hbar)
 
 
-def lambda_composite_crosscheck(
-    air: AirModel,
-    particle: FreeParticle,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def lambda_composite_crosscheck(air: AirModel, particle: FreeParticle) -> float:
     """One-line composite m*sigma*m_a*rho_a*v_a^3/(3 h^3), in 1/m^4.
 
     Retained only as a flagged cross-check for the discrepancy report: it
@@ -130,7 +118,7 @@ def lambda_composite_crosscheck(
     """
     if particle.radius is None:
         raise ValueError("particle needs a radius to derive a cross section")
-    v_rms = math.sqrt(3.0 * constants.boltzmann * air.temperature / air.molecular_mass)
+    v_rms = math.sqrt(3.0 * CONSTANTS.boltzmann * air.temperature / air.molecular_mass)
     sigma = math.pi * particle.radius**2
     return (
         particle.mass
@@ -138,16 +126,12 @@ def lambda_composite_crosscheck(
         * air.molecular_mass
         * air.mass_density
         * v_rms**3
-        / (3.0 * constants.h**3)
+        / (3.0 * CONSTANTS.h**3)
     )
 
 
-def tau_from_time(
-    t: float,
-    particle: FreeParticle,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def tau_from_time(t: float, particle: FreeParticle) -> float:
     """Rescaled time hbar*t/m, dimension m^2.  Forward evolution only."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    return constants.hbar * t / particle.mass
+    return CONSTANTS.hbar * t / particle.mass

@@ -111,23 +111,18 @@ class GridState:
         -d^2/dx^2 matrix of the band-limited interpolant on the periodic grid
         (Trefethen 2000, Spectral Methods in MATLAB, ch. 3).  That is exact,
         to rounding, for any kernel resolved by the grid's Fourier modes.  P_ij
-        depends on (j - i) mod n alone, so the sum runs over wrapped diagonals.
+        depends on (j - i) mod n alone, so the sum runs over wrapped diagonals
+        w_o, and P's row is the DFT of k^2 / n: the sum is h k^2 . Re DFT(w) / n.
 
         Assumes zero mean momentum, which holds for every kernel in the
         Gaussian family handled here.
         """
-        n = self.n_points
-        t = math.pi * np.arange(1, n) / n
-        off_diagonal = (-1.0) ** np.arange(1, n) / (2.0 * np.sin(t) ** 2)
-        if n % 2 == 0:
-            row = np.concatenate([[(n * n + 2.0) / 12.0], off_diagonal])
-        else:
-            row = np.concatenate([[(n * n - 1.0) / 12.0], off_diagonal * np.cos(t)])
-        row *= (2.0 * math.pi / (n * self.spacing)) ** 2
+        n, h = self.n_points, self.spacing
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
         # wrapped[i, o] = Re rho[i, (i + o) mod n]
         flat = np.concatenate([self.values.real] * 2, axis=1).ravel()
         wrapped = sliding_window_view(flat, n)[:: 2 * n + 1]
-        return float(self.spacing * (row @ wrapped.sum(axis=0)))
+        return float(h * ((k * k) @ np.fft.fft(wrapped.sum(axis=0)).real) / n)
 
 
 def discretize(

@@ -49,7 +49,7 @@ from .spectral import (
     spectral_summary,
     von_neumann_entropy,
 )
-from .units import CONSTANTS, PhysicalConstants
+from .units import CONSTANTS
 
 __all__ = [
     "Scenario",
@@ -85,9 +85,7 @@ class ConfigError(Exception):
 
 
 class ConfigParseError(ConfigError):
-    def __init__(self, message: str, line: Optional[int] = None):
-        super().__init__(message)
-        self.line = line
+    """Config text that does not parse, or a value that does not convert."""
 
 
 class MissingKeyError(ConfigError):
@@ -198,20 +196,20 @@ class Report:
     profile: tuple[ProfileRow, ...]
 
 
-def flight_time(speed: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def flight_time(speed: float) -> float:
     """Level-ground flight time of a 45-degree launch: sqrt(2)*v/g."""
     _require_positive(speed_m_s=speed)
-    return math.sqrt(2.0) * speed / constants.g_gravity
+    return math.sqrt(2.0) * speed / CONSTANTS.g_gravity
 
 
-def baseball_scenario(constants: PhysicalConstants = CONSTANTS) -> Scenario:
+def baseball_scenario() -> Scenario:
     """The 100 mph baseball: Planck momentum, minimum-uncertainty start at
     half a Planck length, sea-level standard air, 45-degree flight time."""
     speed = 44.704
     return Scenario(
         particle=FreeParticle(mass=0.1459553, radius=0.0369),
-        initial_dx_m=constants.planck_length / 2.0,
-        evolution_time_s=flight_time(speed, constants),
+        initial_dx_m=CONSTANTS.planck_length / 2.0,
+        evolution_time_s=flight_time(speed),
         air=AirModel(molecular_mass=4.80965e-26, mass_density=1.2250, temperature=288.15),
         speed_m_s=speed,
         name="baseball",
@@ -262,13 +260,12 @@ def _entropy_at(cubic, tau: float) -> float:
 class ScenarioEvolution:
     """A scenario evolved to its final time.
 
-    ``cubic`` and ``state`` are in Planck lengths (``constants.planck_length``);
+    ``cubic`` and ``state`` are in Planck lengths (``CONSTANTS.planck_length``);
     ``state_si`` is the same state in meters, converted once here for every
     row that reports it in SI.
     """
 
     scenario: Scenario
-    constants: PhysicalConstants
     environment: ScatteringEnvironment
     localization_rate: float  # 1/(m^2*s)
     lam_si: float             # 1/m^4
@@ -280,20 +277,18 @@ class ScenarioEvolution:
     state_si: GaussianDensityMatrix  # 1/m^2
 
 
-def evolve_scenario(
-    scenario: Scenario, constants: PhysicalConstants = CONSTANTS
-) -> ScenarioEvolution:
+def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
     """Environment -> localization rate -> lam -> cubic -> state at the
     evolution time, converted once from SI into Planck units and once back."""
     particle = scenario.particle
-    env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle, constants)
+    env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle)
     loc_rate = big_lambda(env)
-    lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle, constants)
+    lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
 
-    l_pl = constants.planck_length
+    l_pl = CONSTANTS.planck_length
     area = l_pl**2
     lam_planck = lam_si * area * area
-    tau_si = tau_from_time(scenario.evolution_time_s, particle, constants)
+    tau_si = tau_from_time(scenario.evolution_time_s, particle)
     tau_planck = tau_si / area
     per_m2 = (1.0 / l_pl) ** 2
     dx_planck = scenario.initial_dx_m / l_pl
@@ -317,21 +312,16 @@ def evolve_scenario(
             f"{particle.mass!r} give a rescaled time hbar*t/m that underflows to 0"
         )
     return ScenarioEvolution(
-        scenario, constants, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck,
-        state, state_si,
+        scenario, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck, state, state_si
     )
 
 
-def run(
-    scenario: Scenario,
-    constants: PhysicalConstants = CONSTANTS,
-    samples: int = 8,
-) -> Report:
+def run(scenario: Scenario, samples: int = 8) -> Report:
     """Full pipeline: ``evolve_scenario``, then the scalar rows, the
     trajectory table, the discrepancy ledger and the observation profile."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    evolution = evolve_scenario(scenario, constants)
+    evolution = evolve_scenario(scenario)
     scalars = _scalar_rows(evolution)
     if scenario.sample_times_s is not None:
         times = scenario.sample_times_s
@@ -350,19 +340,17 @@ def run(
 
 
 def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
-    scenario, constants, state, cubic = (
-        evolution.scenario, evolution.constants, evolution.state, evolution.cubic
-    )
+    scenario, state, cubic = evolution.scenario, evolution.state, evolution.cubic
     particle, env, loc_rate = scenario.particle, evolution.environment, evolution.localization_rate
     lam_si, lam_planck = evolution.lam_si, evolution.lam_planck
     tau_si, tau_planck = evolution.tau_si, evolution.tau_planck
-    l_pl = constants.planck_length
+    l_pl = CONSTANTS.planck_length
     t_end = scenario.evolution_time_s
     # Planck-native route, apart from the area scaling: time over l_Pl/c,
     # mass over hbar/(c*l_Pl), both anchored on the same planck_length so
     # the routes differ only in rounding order
-    t_native = t_end * constants.c / l_pl
-    m_native = particle.mass * constants.c * l_pl / constants.hbar
+    t_native = t_end * CONSTANTS.c / l_pl
+    m_native = particle.mass * CONSTANTS.c * l_pl / CONSTANTS.hbar
     tau_consistency = abs(tau_planck - t_native / m_native) / tau_planck
 
     averaged = phase_average(evolution.state_si)
@@ -387,7 +375,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     if scenario.speed_m_s is not None:
         add("speed_m_s", scenario.speed_m_s, "m/s")
         add("momentum_kg_m_s", particle.mass * scenario.speed_m_s, "kg*m/s")
-        add("flight_time_s", flight_time(scenario.speed_m_s, constants), "s")
+        add("flight_time_s", flight_time(scenario.speed_m_s), "s")
     add("evolution_time_s", t_end, "s")
     add("initial_dx_m", scenario.initial_dx_m, "m")
     if scenario.air is not None:
@@ -403,7 +391,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     if scenario.air is not None:
         add(
             "lambda_composite_per_m4",
-            lambda_composite_crosscheck(scenario.air, particle, constants),
+            lambda_composite_crosscheck(scenario.air, particle),
             "1/m^4",
         )
     add("coeff_A_planck", state.a_coeff, "1/l_Pl^2")
@@ -416,7 +404,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
         "1",
     )
     add("momentum_variance_shift", 3.0 * lam_planck * tau_planck, "1")
-    add("momentum_spread_kg_m_s", constants.hbar * math.sqrt(dp2_planck) / l_pl, "kg*m/s")
+    add("momentum_spread_kg_m_s", CONSTANTS.hbar * math.sqrt(dp2_planck) / l_pl, "kg*m/s")
     add("mean_excitation", summary.mean_excitation, "1")
     add("entropy_nats", summary.entropy_nats, "nat")
     add("p0", summary.p0, "1")
@@ -432,11 +420,11 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
             * math.pi
             * particle.mass
             * math.sqrt(tau_si / lam_si)
-            / (constants.hbar * l_pl)
+            / (CONSTANTS.hbar * l_pl)
         )
         add("oscillator_period_years", period_s / JULIAN_YEAR_S, "yr")
     if scenario.speed_m_s is not None:
-        averaging_time = constants.h / (0.5 * particle.mass * scenario.speed_m_s**2)
+        averaging_time = CONSTANTS.h / (0.5 * particle.mass * scenario.speed_m_s**2)
         add("averaging_time_s", averaging_time, "s")
         add("averaging_time_over_flight_time", averaging_time / t_end, "1")
     add("averaged_A_per_m2", averaged.a_coeff, "1/m^2")
@@ -474,11 +462,11 @@ def _discrepancy_ledger(value: dict[str, float]) -> tuple[DiscrepancyEntry, ...]
 def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow, ...]:
     """One SI row per sample time; one scale for the whole table rather
     than a converted state per row."""
-    particle, constants, cubic = evolution.scenario.particle, evolution.constants, evolution.cubic
-    area = constants.planck_length**2
+    particle, cubic = evolution.scenario.particle, evolution.cubic
+    area = CONSTANTS.planck_length**2
     rows = []
     for t in times:
-        tau_t = tau_from_time(t, particle, constants) / area
+        tau_t = tau_from_time(t, particle) / area
         state_t = evolve(cubic, tau_t)
         n_t = mean_excitation(state_t)
         rows.append(
@@ -615,7 +603,7 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
     return kwargs
 
 
-def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) -> Scenario:
+def load_scenario(config_text: str) -> Scenario:
     """Parse and validate flat key-value config text with [section] headers.
 
     Keys carry their units in their names; unknown keys are rejected by
@@ -629,7 +617,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     try:
         parser.read_string(config_text)
     except configparser.Error as exc:
-        raise ConfigParseError(str(exc), line=getattr(exc, "lineno", None)) from exc
+        raise ConfigParseError(str(exc)) from exc
 
     known = {(section, key) for section, key, _, _ in _KEYS}
     unknown = [
@@ -659,7 +647,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
         if "initial_dx_m" in settings:
             raise AmbiguityError("config supplies both initial_dx_m and initial_dx_planck_lengths")
         # checked before Scenario sees it in meters, so the message names this key
-        dx_m = dx_planck * constants.planck_length
+        dx_m = dx_planck * CONSTANTS.planck_length
         if not (math.isfinite(dx_m) and dx_m > 0.0):
             raw = parser["scenario"]["initial_dx_planck_lengths"]
             raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")
@@ -669,7 +657,7 @@ def load_scenario(config_text: str, constants: PhysicalConstants = CONSTANTS) ->
     if "evolution_time_s" not in settings:
         if "speed_m_s" not in settings:
             raise MissingKeyError("evolution_time_s", "scenario")
-        settings["evolution_time_s"] = flight_time(settings["speed_m_s"], constants)
+        settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
     return Scenario(particle=particle, **settings)
 
 

@@ -10,7 +10,6 @@ N ~ 1e26 the factor (N+1)^(n+1) overflows immediately.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
@@ -146,17 +145,12 @@ def spectral_summary(state: GaussianDensityMatrix) -> SpectralSummary:
 
 
 def eigenstate_spec(state: GaussianDensityMatrix, n: int) -> EigenstateSpec:
-    """A and C can each be representable while their product is not
-    (initial_dx_m = 1e-150 m: A ~ 2e-23, C ~ 6e-306); only there are the
-    roots of 2*sqrt(A*C) taken apart, so every other width keeps its last
-    digit."""
-    product = state.a_coeff * state.c_coeff
-    if sys.float_info.min <= product < math.inf:
-        sqrt_ac = math.sqrt(product)
-    else:
-        sqrt_ac = math.sqrt(state.a_coeff) * math.sqrt(state.c_coeff)
+    """Width 2*sqrt(A)*sqrt(C): A and C can each be representable while
+    their product is not (initial_dx_m = 1e-150 m: A ~ 2e-23, C ~ 6e-306)."""
     return EigenstateSpec(
-        index=n, width_parameter=2.0 * sqrt_ac, phase_coefficient=state.b_coeff
+        index=n,
+        width_parameter=2.0 * math.sqrt(state.a_coeff) * math.sqrt(state.c_coeff),
+        phase_coefficient=state.b_coeff,
     )
 
 

@@ -121,7 +121,7 @@ def test_time_average_suppresses_phase_structure():
     where the phase barely winds the averaged kernel matches the B = 0
     kernel, and where it winds by many turns the averaged kernel collapses
     while the B = 0 kernel keeps full magnitude."""
-    cubic = CubicSolution(lam=0.0, a2=1.0, a1=0.0, a0=1.0)
+    cubic = CubicSolution(lam=0.0, a2=1.0, a1=0.0, a0=1.0, ratio0=4.0)
     tau0, window = 2000.0, 10.0
     taus = np.linspace(tau0, tau0 + window, 2001)
     mid = evolve(cubic, tau0 + 0.5 * window)

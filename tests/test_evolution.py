@@ -19,12 +19,13 @@ from decogauss.evolution import (
     purity,
 )
 from decogauss.scenarios import baseball_scenario, evolve_scenario
+from decogauss.units import CONSTANTS
 from _quad import quad_purity, quad_trace
 
 # baseball magnitudes in Planck units (rounded to the published digits)
 TAU_B = 1.78e37
 LAM_B = 2.2e-60
-BASEBALL_CUBIC = CubicSolution(lam=LAM_B, a2=1.0, a1=0.0, a0=0.25)
+BASEBALL_CUBIC = CubicSolution(lam=LAM_B, a2=1.0, a1=0.0, a0=0.25, ratio0=1.0)
 
 
 def exact_coefficients(cubic, tau):
@@ -92,7 +93,7 @@ def test_cubic_initial_ratio_is_a_over_c():
 # --- evolve ------------------------------------------------------------------
 
 def test_evolve_hand_example():
-    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
+    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5, ratio0=1.0)
     state = evolve(cubic, 1.0)
     assert cubic.x_value(1.0) == pytest.approx(2.0, rel=1e-15)
     assert cubic.x_prime(1.0) == pytest.approx(4.0, rel=1e-15)
@@ -141,12 +142,12 @@ def test_evolve_rejects_negative_tau():
 # --- variances ---------------------------------------------------------------
 
 def test_position_variance_at_zero_is_a0():
-    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
+    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5, ratio0=1.0)
     assert position_variance(cubic, 0.0) == 0.5
 
 
 def test_position_variance_cubic_value():
-    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
+    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5, ratio0=1.0)
     assert position_variance(cubic, 1.0) == pytest.approx(2.0, rel=1e-15)
 
 
@@ -158,7 +159,7 @@ def test_position_variance_baseball():
 
 
 def test_momentum_variance_linear():
-    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
+    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5, ratio0=1.0)
     assert momentum_variance(cubic, 0.0) == 0.5
     assert momentum_variance(cubic, 1.0) == pytest.approx(3.5, rel=1e-15)
     taus = np.linspace(0.0, 5.0, 11)
@@ -323,12 +324,12 @@ def test_state_rejects_non_finite():
 
 def test_cubic_rejects_invalid_coefficients():
     with pytest.raises(ValueError):
-        CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=-0.5)
+        CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=-0.5, ratio0=1.0)
     with pytest.raises(ValueError):
-        CubicSolution(lam=1.0, a2=-0.5, a1=0.0, a0=0.5)
+        CubicSolution(lam=1.0, a2=-0.5, a1=0.0, a0=0.5, ratio0=1.0)
     with pytest.raises(ValueError):
-        # a1^2 > 4 a0 a2 - 1 would need A(0) < C(0)
-        CubicSolution(lam=1.0, a2=1.0, a1=5.0, a0=0.25)
+        # a1^2 > 4 a0 a2 - 1 would need A(0) < C(0): 4 a0 a2 - a1^2 = -24, not ratio0
+        CubicSolution(lam=1.0, a2=1.0, a1=5.0, a0=0.25, ratio0=1.0)
 
 
 def test_state_unit_conversion_round_trip():
@@ -336,7 +337,7 @@ def test_state_unit_conversion_round_trip():
     # taken back to Planck units by hand
     evolution = evolve_scenario(baseball_scenario())
     there, back = evolution.state, evolution.state_si
-    ratio = evolution.constants.planck_length**2
+    ratio = CONSTANTS.planck_length**2
     for name in ("a_coeff", "b_coeff", "c_coeff"):
         assert getattr(back, name) * ratio == pytest.approx(getattr(there, name), rel=1e-12)
 

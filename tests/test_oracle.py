@@ -133,6 +133,32 @@ def test_momentum_variance_is_exact_on_a_resolved_grid(n_points):
     assert grid.momentum_variance() == pytest.approx(exact, rel=1e-10)
 
 
+def _oracle_check_and_chirped_cubics():
+    # oracle-check's 8 seeded pure starts, then 3 of criterion 12's chirped mixed ones
+    rng = np.random.default_rng(20210830)
+    for _ in range(8):
+        dx0_sq, lam, tau = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.2), rng.uniform(0.15, 0.25)
+        yield cubic_from_initial(minimum_uncertainty_initial(dx0_sq), lam), tau
+    rng = np.random.default_rng(1985)
+    for _ in range(3):
+        c0, ratio, b0 = rng.uniform(0.15, 0.6), rng.uniform(1.0, 5.0), rng.uniform(-0.8, 0.8)
+        lam, tau = rng.uniform(0.2, 1.2), rng.uniform(0.12, 0.22)
+        yield cubic_from_initial(GaussianDensityMatrix(ratio * c0, b0, c0), lam), tau
+
+
+@pytest.mark.parametrize("n_points", [160, 192, 193, 256, 257])
+def test_momentum_variance_rounds_below_1e_11(n_points):
+    # the closed-form kernel at tau, sampled and summed: the spectral sum keeps
+    # the whole error at rounding level, at odd and even n
+    worst = 0.0
+    for cubic, tau in _oracle_check_and_chirped_cubics():
+        span = 8.0 * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau))) + 0.5
+        grid = discretize(evolve(cubic, tau), -span, span, n_points)
+        exact = momentum_variance(cubic, tau)
+        worst = max(worst, abs(grid.momentum_variance() - exact) / exact)
+    assert worst <= 1e-11
+
+
 def test_single_step_over_long_interval_is_stable():
     # no factor of the splitting exceeds modulus 1, so one step over the
     # whole interval stays bounded where an explicit scheme blows up

@@ -253,7 +253,7 @@ def test_eigenstate_variance_hand_value_and_quadrature():
 
 
 def test_weighted_variance_equals_cubic_variance():
-    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5)
+    cubic = CubicSolution(lam=1.0, a2=0.5, a1=0.0, a0=0.5, ratio0=1.0)
     state = evolve(cubic, 1.0)
     # the eigenvalue-weighted variance (2N+1)/(8 sqrt(AC)) is 1/(8C)
     weighted = 1.0 / (8.0 * state.c_coeff)

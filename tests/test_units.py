@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decogauss.evolution import evolve, minimum_uncertainty_initial, purity
-from decogauss.model import FreeParticle, ScatteringEnvironment
-from decogauss.scenarios import Scenario, baseball_scenario, evolve_scenario, run
+from decogauss.model import FreeParticle
+from decogauss.scenarios import baseball_scenario, evolve_scenario, run
 from decogauss.spectral import mean_excitation
 from decogauss.units import CONSTANTS, PhysicalConstants
 
@@ -49,29 +49,6 @@ def test_nonpositive_or_non_finite_constant_rejected(field, value):
 
 
 BASEBALL = evolve_scenario(baseball_scenario())
-
-# a consistent constant set whose Planck length is one meter
-NATURAL = PhysicalConstants(
-    hbar=1.0,
-    c=1.0,
-    G=1.0,
-    boltzmann=1.0,
-    g_gravity=1.0,
-    planck_length=1.0,
-)
-
-
-def test_convert_identity():
-    scenario = Scenario(
-        particle=FreeParticle(mass=2.0),
-        initial_dx_m=0.75,
-        evolution_time_s=0.5,
-        environment=ScatteringEnvironment(1.0, 0.5, 2.0, 1.5),
-    )
-    evolution = evolve_scenario(scenario, NATURAL)
-    assert evolution.lam_planck == evolution.lam_si
-    assert evolution.state_si == evolution.state
-
 
 def test_convert_meter_to_planck_length():
     # an initial coefficient of one per square Planck length, given in meters
@@ -140,9 +117,3 @@ def test_planck_scaled_zero_power_identity():
     in_meters = BASEBALL.state_si
     assert mean_excitation(in_meters) == pytest.approx(mean_excitation(BASEBALL.state), rel=1e-12)
     assert purity(in_meters) == pytest.approx(purity(BASEBALL.state), rel=1e-12)
-
-
-def test_planck_scaled_rejects_non_finite():
-    with pytest.raises(ValueError):
-        constants = dataclasses.replace(CONSTANTS, planck_length=math.nan)
-        evolve_scenario(baseball_scenario(), constants)
