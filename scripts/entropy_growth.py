@@ -11,11 +11,11 @@ from decogauss.evolution import evolve
 from decogauss.model import tau_from_time
 from decogauss.scenarios import baseball_scenario, evolve_scenario
 from decogauss.spectral import mean_excitation, von_neumann_entropy
-from decogauss.units import CONSTANTS
+from decogauss.units import PLANCK_LENGTH
 
 scenario = baseball_scenario()
 evolution = evolve_scenario(scenario)
-area = CONSTANTS.planck_length**2  # m^2 per squared Planck length
+area = PLANCK_LENGTH**2  # m^2 per squared Planck length
 
 t_flight = scenario.evolution_time_s
 print(f"{'t / t_flight':>12} {'N':>13} {'S (nats)':>9} {'dS/dln t':>9}")

@@ -53,6 +53,5 @@ from .spectral import (
     truncation_index,
     von_neumann_entropy,
 )
-from .units import CONSTANTS
 
 __version__ = "0.1.0"

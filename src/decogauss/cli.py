@@ -4,8 +4,8 @@ Subcommands: run (scenario config -> report), baseball (preset shortcut),
 oracle-check (grid validation at O(1) parameters), measure (observation
 profile), spectrum (spectral summary for explicit A, B, C).
 
-Exit codes: 0 success, 2 config error, 3 validation failure, 4 oracle
-disagreement above tolerance.
+Exit codes: 0 success, 2 config error or unwritable --output, 3 validation
+failure, 4 oracle disagreement above tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ def _write_output(data: bytes, output: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(output).write_bytes(data)
+        try:
+            Path(output).write_bytes(data)
+        except OSError as exc:
+            raise scenarios.ConfigError(f"cannot write output {output}: {exc.strerror}") from exc
 
 
 def _load_config(path: str) -> scenarios.Scenario:
@@ -120,11 +123,7 @@ def _cmd_oracle_check(args) -> int:
         cubic = cubic_from_initial(minimum_uncertainty_initial(dx0_sq), lam)
         span = 8.0 * math.sqrt(max(cubic.x_value(t) for t in (0.0, tau_end)))
         grid = oracle.discretize(evolve(cubic, 0.0), -span, span, 192)
-        try:
-            evolved = oracle.integrate_master_equation(grid, lam, tau_end)
-        except oracle.IntegrationFailureError as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        evolved = oracle.integrate_master_equation(grid, lam, tau_end)
         fit = oracle.extract_gaussian_coefficients(evolved)
         exact = evolve(cubic, tau_end)
         errs = [

@@ -107,13 +107,13 @@ class CubicSolution:
     ratio0: float
 
     def __post_init__(self):
-        for name in ("lam", "a2", "a1", "a0"):
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
+        for name in ("a2", "a1", "a0"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam!r}")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.a0 <= 0.0 or self.a2 <= 0.0:
-            raise ValueError("a0 and a2 must be positive")
+            raise ValueError(f"a0 and a2 must be positive, got {self.a0!r} and {self.a2!r}")
         if not (math.isfinite(self.ratio0) and self.ratio0 >= 1.0 - _REL_SLACK):
             raise ValueError(f"ratio0 must be at least 1, got {self.ratio0!r}")
         product = 4.0 * self.a0 * self.a2
@@ -132,11 +132,7 @@ class CubicSolution:
 
 def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSolution:
     """Coefficients a0 = 1/(8C), a1 = -B/(2C), a2 = 2A + B^2/(2C) at tau = 0."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     c0 = state0.c_coeff
-    if c0 <= 0.0:
-        raise ValueError("initial state has nonpositive c_coeff")
     return CubicSolution(
         lam=lam,
         a2=2.0 * state0.a_coeff + state0.b_coeff**2 / (2.0 * c0),

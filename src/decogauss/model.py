@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .units import CONSTANTS
+from .units import BOLTZMANN, H, HBAR
 
 __all__ = [
     "FreeParticle",
@@ -93,12 +93,12 @@ def air_environment(air: AirModel, particle: FreeParticle) -> ScatteringEnvironm
     """
     if particle.radius is None:
         raise ValueError("particle needs a radius to derive a cross section")
-    v_rms = math.sqrt(3.0 * CONSTANTS.boltzmann * air.temperature / air.molecular_mass)
+    v_rms = math.sqrt(3.0 * BOLTZMANN * air.temperature / air.molecular_mass)
     return ScatteringEnvironment(
         number_density=air.mass_density / air.molecular_mass,
         cross_section=math.pi * particle.radius**2,
         mean_relative_velocity=v_rms,
-        rms_wavenumber=air.molecular_mass * v_rms / CONSTANTS.hbar,
+        rms_wavenumber=air.molecular_mass * v_rms / HBAR,
     )
 
 
@@ -106,7 +106,7 @@ def lambda_coefficient(localization_rate: float, particle: FreeParticle) -> floa
     """2*Lambda*m/(3*hbar), in 1/m^4.  Zero rate means free evolution."""
     if not (math.isfinite(localization_rate) and localization_rate >= 0.0):
         raise ValueError(f"localization rate must be nonnegative, got {localization_rate!r}")
-    return 2.0 * localization_rate * particle.mass / (3.0 * CONSTANTS.hbar)
+    return 2.0 * localization_rate * particle.mass / (3.0 * HBAR)
 
 
 def lambda_composite_crosscheck(air: AirModel, particle: FreeParticle) -> float:
@@ -114,19 +114,17 @@ def lambda_composite_crosscheck(air: AirModel, particle: FreeParticle) -> float:
 
     Retained only as a flagged cross-check for the discrepancy report: it
     disagrees with the defining two-step chain by a factor of 2*pi.  Never
-    used as the evolution coefficient.
+    used as the evolution coefficient.  sigma and v_a are those of
+    ``air_environment``.
     """
-    if particle.radius is None:
-        raise ValueError("particle needs a radius to derive a cross section")
-    v_rms = math.sqrt(3.0 * CONSTANTS.boltzmann * air.temperature / air.molecular_mass)
-    sigma = math.pi * particle.radius**2
+    env = air_environment(air, particle)
     return (
         particle.mass
-        * sigma
+        * env.cross_section
         * air.molecular_mass
         * air.mass_density
-        * v_rms**3
-        / (3.0 * CONSTANTS.h**3)
+        * env.mean_relative_velocity**3
+        / (3.0 * H**3)
     )
 
 
@@ -134,4 +132,4 @@ def tau_from_time(t: float, particle: FreeParticle) -> float:
     """Rescaled time hbar*t/m, dimension m^2.  Forward evolution only."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    return CONSTANTS.hbar * t / particle.mass
+    return HBAR * t / particle.mass

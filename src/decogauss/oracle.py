@@ -32,7 +32,6 @@ __all__ = [
     "DomainCoverageError",
     "IntegrationFailureError",
     "FitQualityError",
-    "DecompositionError",
     "GaussianFit",
     "discretize",
     "integrate_master_equation",
@@ -49,7 +48,7 @@ class DomainCoverageError(ValueError):
         self.trace_deficit = trace_deficit
 
 
-class IntegrationFailureError(RuntimeError):
+class IntegrationFailureError(ValueError):
     """The integration step went unstable."""
 
 
@@ -59,10 +58,6 @@ class FitQualityError(ValueError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class DecompositionError(RuntimeError):
-    """Numerical eigendecomposition failed."""
 
 
 def _hermiticity_error(values: np.ndarray) -> float:
@@ -78,7 +73,6 @@ class GridState:
 
     x_min: float
     x_max: float
-    n_points: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -87,10 +81,12 @@ class GridState:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if self.values.shape != (self.n_points, self.n_points):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match n_points={self.n_points}"
-            )
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise ValueError(f"values must be a square array, got shape {self.values.shape}")
+
+    @property
+    def n_points(self) -> int:
+        return len(self.values)
 
     @property
     def spacing(self) -> float:
@@ -102,9 +98,6 @@ class GridState:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.values)) * self.spacing)
-
-    def hermiticity_error(self) -> float:
-        return _hermiticity_error(self.values)
 
     def momentum_variance(self) -> float:
         """(dp/hbar)^2 = tr(p^2 rho) = h sum_ij P_ij rho_ij, with P the
@@ -135,7 +128,7 @@ def discretize(
     sigma = math.sqrt(1.0 / (8.0 * state.c_coeff))
     xs = np.linspace(x_min, x_max, n_points)
     values = state.kernel(xs[:, None], xs[None, :])
-    grid = GridState(x_min, x_max, n_points, values)
+    grid = GridState(x_min, x_max, values)
     deficit = abs(1.0 - grid.trace())
     if x_min > -8.0 * sigma or x_max < 8.0 * sigma:
         raise DomainCoverageError(
@@ -200,7 +193,7 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     rho = np.fft.fftn(rho, out=rho)
     rho *= half
     rho = np.fft.ifftn(rho, out=rho)
-    return GridState(grid.x_min, grid.x_max, grid.n_points, rho)
+    return GridState(grid.x_min, grid.x_max, rho)
 
 
 @dataclass(frozen=True)
@@ -302,7 +295,7 @@ def eigendecompose_kernel(grid: GridState, count: int):
         raise ValueError(f"count must be between 1 and 32, got {count}")
     v, n = grid.values, grid.n_points
     bound = 1e-10 * max(1.0, float(np.max(np.abs(v))))
-    herm = grid.hermiticity_error()
+    herm = _hermiticity_error(v)
     if herm > bound:
         raise ValueError(f"grid is not Hermitian: deviation {herm:.3e}")
     # v - JvJ is odd under J, so its top (n + 1) // 2 rows hold its maximum
@@ -322,11 +315,8 @@ def eigendecompose_kernel(grid: GridState, count: int):
     even *= grid.spacing
     odd = np.subtract(left, right)
     odd *= grid.spacing
-    try:
-        even_vals, even_vecs = np.linalg.eigh(even)
-        odd_vals, odd_vecs = np.linalg.eigh(odd)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure
-        raise DecompositionError(str(exc)) from exc
+    even_vals, even_vecs = np.linalg.eigh(even)
+    odd_vals, odd_vecs = np.linalg.eigh(odd)
 
     # eigh returns ascending eigenvalues; merge the two descending spectra
     # and lift only the top count vectors, so the caller keeps no n x n array

@@ -49,7 +49,7 @@ from .spectral import (
     spectral_summary,
     von_neumann_entropy,
 )
-from .units import CONSTANTS
+from .units import H, HBAR, PLANCK_LENGTH, SPEED_OF_LIGHT, STANDARD_GRAVITY
 
 __all__ = [
     "Scenario",
@@ -157,8 +157,6 @@ class ScalarRow:
     unit: str
     reference: Optional[float] = None
     deviation: Optional[float] = None  # (value - reference) / reference
-    tol_mode: Optional[str] = None     # "rel" | "abs" | "factor"
-    tol_value: Optional[float] = None
 
 
 # the two all-numeric row types are named tuples: every field is an emitted
@@ -199,7 +197,7 @@ class Report:
 def flight_time(speed: float) -> float:
     """Level-ground flight time of a 45-degree launch: sqrt(2)*v/g."""
     _require_positive(speed_m_s=speed)
-    return math.sqrt(2.0) * speed / CONSTANTS.g_gravity
+    return math.sqrt(2.0) * speed / STANDARD_GRAVITY
 
 
 def baseball_scenario() -> Scenario:
@@ -208,7 +206,7 @@ def baseball_scenario() -> Scenario:
     speed = 44.704
     return Scenario(
         particle=FreeParticle(mass=0.1459553, radius=0.0369),
-        initial_dx_m=CONSTANTS.planck_length / 2.0,
+        initial_dx_m=PLANCK_LENGTH / 2.0,
         evolution_time_s=flight_time(speed),
         air=AirModel(molecular_mass=4.80965e-26, mass_density=1.2250, temperature=288.15),
         speed_m_s=speed,
@@ -260,16 +258,15 @@ def _entropy_at(cubic, tau: float) -> float:
 class ScenarioEvolution:
     """A scenario evolved to its final time.
 
-    ``cubic`` and ``state`` are in Planck lengths (``CONSTANTS.planck_length``);
-    ``state_si`` is the same state in meters, converted once here for every
-    row that reports it in SI.
+    ``cubic`` and ``state`` are in Planck lengths (``PLANCK_LENGTH``), so
+    ``cubic.lam`` is lambda in 1/l_Pl^4; ``state_si`` is the same state in
+    meters, converted once here for every row that reports it in SI.
     """
 
     scenario: Scenario
     environment: ScatteringEnvironment
     localization_rate: float  # 1/(m^2*s)
     lam_si: float             # 1/m^4
-    lam_planck: float         # 1/l_Pl^4
     cubic: CubicSolution
     tau_si: float             # m^2
     tau_planck: float         # l_Pl^2
@@ -285,25 +282,35 @@ def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
     loc_rate = big_lambda(env)
     lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
 
-    l_pl = CONSTANTS.planck_length
-    area = l_pl**2
+    area = PLANCK_LENGTH**2
     lam_planck = lam_si * area * area
     tau_si = tau_from_time(scenario.evolution_time_s, particle)
     tau_planck = tau_si / area
-    per_m2 = (1.0 / l_pl) ** 2
-    dx_planck = scenario.initial_dx_m / l_pl
+    per_m2 = (1.0 / PLANCK_LENGTH) ** 2
+    dx_planck = scenario.initial_dx_m / PLANCK_LENGTH
     try:
         cubic = cubic_from_initial(minimum_uncertainty_initial(dx_planck * dx_planck), lam_planck)
+    except ValueError as exc:
+        if not math.isfinite(lam_planck):
+            raise
+        # a width far from the Planck scale overflows or underflows 1/(8 dx^2)
+        raise ValueError(
+            f"initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
+            f" in Planck units: {exc}"
+        ) from None
+    try:
         state = evolve(cubic, tau_planck)
         state_si = GaussianDensityMatrix(state.a_coeff * per_m2, state.b_coeff * per_m2, state.c_coeff * per_m2)
     except ValueError as exc:
-        if not (math.isfinite(lam_planck) and math.isfinite(tau_planck)):
+        if not math.isfinite(tau_planck):
             raise
-        # a width far from the Planck scale overflows or underflows 1/(8 dx^2),
-        # or the spreading X(tau) ~ tau^2/(4 dx^2) that follows from it
+        # the spreading X(tau) ~ tau^2/(4 dx^2), with tau = hbar*t/m, leaves
+        # the range, or the state does on its way to SI
         raise ValueError(
-            f"initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
-            f" in SI or Planck units: {exc}"
+            f"scenario.evolution_time_s = {scenario.evolution_time_s!r} and particle.mass_kg = "
+            f"{particle.mass!r} give a rescaled time at which scenario.initial_dx_m = "
+            f"{scenario.initial_dx_m!r} gives a state that is not representable in SI or Planck"
+            f" units: {exc}"
         ) from None
     if tau_planck == 0.0:
         # evolution_time_s is positive, so only an underflow of hbar*t/m gets here
@@ -311,9 +318,7 @@ def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
             f"scenario.evolution_time_s = {scenario.evolution_time_s!r} and particle.mass_kg = "
             f"{particle.mass!r} give a rescaled time hbar*t/m that underflows to 0"
         )
-    return ScenarioEvolution(
-        scenario, env, loc_rate, lam_si, lam_planck, cubic, tau_si, tau_planck, state, state_si
-    )
+    return ScenarioEvolution(scenario, env, loc_rate, lam_si, cubic, tau_si, tau_planck, state, state_si)
 
 
 def run(scenario: Scenario, samples: int = 8) -> Report:
@@ -342,15 +347,15 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
 def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     scenario, state, cubic = evolution.scenario, evolution.state, evolution.cubic
     particle, env, loc_rate = scenario.particle, evolution.environment, evolution.localization_rate
-    lam_si, lam_planck = evolution.lam_si, evolution.lam_planck
+    lam_si, lam_planck = evolution.lam_si, cubic.lam
     tau_si, tau_planck = evolution.tau_si, evolution.tau_planck
-    l_pl = CONSTANTS.planck_length
+    l_pl = PLANCK_LENGTH
     t_end = scenario.evolution_time_s
     # Planck-native route, apart from the area scaling: time over l_Pl/c,
     # mass over hbar/(c*l_Pl), both anchored on the same planck_length so
     # the routes differ only in rounding order
-    t_native = t_end * CONSTANTS.c / l_pl
-    m_native = particle.mass * CONSTANTS.c * l_pl / CONSTANTS.hbar
+    t_native = t_end * SPEED_OF_LIGHT / l_pl
+    m_native = particle.mass * SPEED_OF_LIGHT * l_pl / HBAR
     tau_consistency = abs(tau_planck - t_native / m_native) / tau_planck
 
     averaged = phase_average(evolution.state_si)
@@ -362,11 +367,11 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     rows: list[ScalarRow] = []
 
     def add(name: str, value: float, unit: str) -> None:
-        reference = deviation = tol_mode = tol_value = None
+        reference = deviation = None
         if is_baseball and name in _BASEBALL_REFERENCES:
-            reference, tol_mode, tol_value = _BASEBALL_REFERENCES[name]
+            reference = _BASEBALL_REFERENCES[name][0]
             deviation = (value - reference) / reference
-        rows.append(ScalarRow(name, value, unit, reference, deviation, tol_mode, tol_value))
+        rows.append(ScalarRow(name, value, unit, reference, deviation))
 
     add("mass_kg", particle.mass, "kg")
     add("mass_ounces", particle.mass / OUNCE_KG, "oz")
@@ -404,7 +409,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
         "1",
     )
     add("momentum_variance_shift", 3.0 * lam_planck * tau_planck, "1")
-    add("momentum_spread_kg_m_s", CONSTANTS.hbar * math.sqrt(dp2_planck) / l_pl, "kg*m/s")
+    add("momentum_spread_kg_m_s", HBAR * math.sqrt(dp2_planck) / l_pl, "kg*m/s")
     add("mean_excitation", summary.mean_excitation, "1")
     add("entropy_nats", summary.entropy_nats, "nat")
     add("p0", summary.p0, "1")
@@ -420,11 +425,11 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
             * math.pi
             * particle.mass
             * math.sqrt(tau_si / lam_si)
-            / (CONSTANTS.hbar * l_pl)
+            / (HBAR * l_pl)
         )
         add("oscillator_period_years", period_s / JULIAN_YEAR_S, "yr")
     if scenario.speed_m_s is not None:
-        averaging_time = CONSTANTS.h / (0.5 * particle.mass * scenario.speed_m_s**2)
+        averaging_time = H / (0.5 * particle.mass * scenario.speed_m_s**2)
         add("averaging_time_s", averaging_time, "s")
         add("averaging_time_over_flight_time", averaging_time / t_end, "1")
     add("averaged_A_per_m2", averaged.a_coeff, "1/m^2")
@@ -463,7 +468,7 @@ def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow
     """One SI row per sample time; one scale for the whole table rather
     than a converted state per row."""
     particle, cubic = evolution.scenario.particle, evolution.cubic
-    area = CONSTANTS.planck_length**2
+    area = PLANCK_LENGTH**2
     rows = []
     for t in times:
         tau_t = tau_from_time(t, particle) / area
@@ -498,15 +503,16 @@ def profile_rows(evolution: ScenarioEvolution) -> tuple[ProfileRow, ...]:
 def _within(row: ScalarRow, profile: str) -> bool:
     if row.reference is None:
         return True
-    if profile == "paper":
-        ratio = row.value / row.reference
-        return 0.5 <= ratio <= 2.0
-    if row.tol_mode == "rel":
-        return abs(row.deviation) <= row.tol_value
-    if row.tol_mode == "abs":
-        return abs(row.value - row.reference) <= row.tol_value
     ratio = row.value / row.reference
-    return 1.0 / row.tol_value <= ratio <= row.tol_value
+    if profile == "paper":
+        return 0.5 <= ratio <= 2.0
+    # only the baseball preset's rows carry a reference
+    _, mode, tolerance = _BASEBALL_REFERENCES[row.name]
+    if mode == "rel":
+        return abs(row.deviation) <= tolerance
+    if mode == "abs":
+        return abs(row.value - row.reference) <= tolerance
+    return 1.0 / tolerance <= ratio <= tolerance
 
 
 def tolerance_failures(report: Report, profile: str = "paper") -> list[str]:
@@ -647,7 +653,7 @@ def load_scenario(config_text: str) -> Scenario:
         if "initial_dx_m" in settings:
             raise AmbiguityError("config supplies both initial_dx_m and initial_dx_planck_lengths")
         # checked before Scenario sees it in meters, so the message names this key
-        dx_m = dx_planck * CONSTANTS.planck_length
+        dx_m = dx_planck * PLANCK_LENGTH
         if not (math.isfinite(dx_m) and dx_m > 0.0):
             raw = parser["scenario"]["initial_dx_planck_lengths"]
             raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")

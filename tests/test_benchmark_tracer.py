@@ -1,5 +1,6 @@
-"""The traced benchmark under perfbench/ wraps decogauss functions by name;
-this fails if one of them is renamed or deleted."""
+"""The traced benchmark under perfbench/ wraps decogauss functions by name,
+and its grid workloads read GridState.n_points, .xs and .spacing and
+eigenstate_spec; these fail if one of them is renamed or deleted."""
 
 from pathlib import Path
 
@@ -19,3 +20,28 @@ def test_benchmark_tracer_instruments_and_restores(monkeypatch):
     finally:
         tracer.restore()
     assert oracle.integrate_master_equation is integrate
+
+
+def test_benchmark_grid_workloads_run_and_pass_their_checks_traced(monkeypatch):
+    # perfbench/ imports its own modules by bare name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer, instrument
+    from worker import execute
+    from workloads import GridSpectrum, OracleCheck
+
+    workloads = [OracleCheck(seed=1), GridSpectrum(seed=1)]
+    ops = [workload.block(0)[0] for workload in workloads]
+    tracer = instrument(Tracer())
+    tracer.active = True
+    try:
+        for workload, op in zip(workloads, ops):
+            workload.tracer = tracer
+            ok, _, error, _ = execute(workload, op)
+            assert ok, error
+    finally:
+        tracer.active = False
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["calls"]["oracle.integrate"] == 1
+    assert summary["calls"]["oracle.eigendecompose"] == 1
+    assert summary["counts"]["oracle.eigendecompose.n_cubed"] == ops[1].args["n"] ** 3

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decogauss import oracle
 from decogauss.cli import main
 from decogauss.scenarios import baseball_scenario, dump_scenario
-from decogauss.units import CONSTANTS
+from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +64,21 @@ def test_bad_config_exits_2(tmp_path):
 def test_missing_config_file_exits_2(tmp_path):
     result = run_cli("run", "--config", str(tmp_path / "nope.ini"))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["baseball"], ["spectrum", "--A=0.75", "--B=-0.5", "--C=0.0625"]],
+    ids=["report", "spectrum"],
+)
+def test_unwritable_output_exits_2_naming_the_path(argv, target, tmp_path, capsys):
+    # both escaped as a FileNotFoundError or IsADirectoryError traceback
+    output = tmp_path / "missing" / "r.txt" if target == "missing_directory" else tmp_path
+    assert main([*argv, "--output", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {output}: ")
+    assert err.count("\n") == 1
 
 
 def test_invalid_scenario_value_exits_3(tmp_path):
@@ -184,7 +201,7 @@ def test_unrepresentable_coefficient_product_still_reports(dx, time, tmp_path):
     result = run_cli("run", "--config", str(config), "--format", "json", "--samples", "1")
     assert result.returncode == 0, result.stderr
     rows = {row["name"]: row["value"] for row in json.loads(result.stdout)["scalars"]}
-    l_pl = CONSTANTS.planck_length
+    l_pl = PLANCK_LENGTH
     root = math.sqrt(rows["coeff_A_planck"]) * math.sqrt(rows["coeff_C_planck"])
     assert math.isclose(rows["ground_state_variance_m2"], l_pl * l_pl / (8.0 * root), rel_tol=2e-8)
 
@@ -203,6 +220,63 @@ def test_underflowing_rescaled_time_exits_3_naming_both_keys(tmp_path):
     assert result.returncode == 3
     assert "scenario.evolution_time_s = 1e-200 and particle.mass_kg = 1e+200" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_overflowing_evolved_state_exits_3_naming_all_three_keys(tmp_path, capsys):
+    """At 1e-200 kg the rescaled time hbar*t/m overflows the evolved state,
+    and the message blamed initial_dx_m alone."""
+    config = tmp_path / "light.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace("mass_kg = 0.1459553", "mass_kg = 1e-200")
+    )
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario.evolution_time_s = 6.446748185397342 and particle.mass_kg = 1e-200" in err
+    assert "scenario.initial_dx_m = 8.081275e-36 gives a state that is not representable" in err
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def extreme_configs(draw):
+    """Config text with every number log-uniform over a range its
+    constructor accepts."""
+    def number(key, low=1e-100, high=1e100):
+        return f"{key} = {draw(_log_uniform(low, high))!r}"
+
+    lines = [
+        "[scenario]",
+        number("initial_dx_m", 1e-200, 1e150),
+        number("evolution_time_s", 1e-200, 1e200),
+        "[particle]",
+        number("mass_kg", 1e-250, 1e250),
+    ]
+    if draw(st.booleans()):
+        lines += [number("radius_m", 1e-200, 1e100), "[air]"]
+        lines += [number(key) for key in ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K")]
+    else:
+        lines.append("[environment]")
+        lines += [
+            number(key)
+            for key in (
+                "number_density_per_m3",
+                "cross_section_m2",
+                "relative_velocity_m_s",
+                "rms_wavenumber_per_m",
+            )
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=extreme_configs())
+def test_every_loadable_config_reports_or_exits_3(text, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("extreme")
+    config = folder / "scenario.ini"
+    config.write_text(text)
+    assert main(["run", "--config", str(config), "--output", str(folder / "report.txt")]) in (0, 3)
 
 
 def test_spectrum_overflow_says_finite_and_nonnegative(capsys):
@@ -248,10 +322,10 @@ def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):
 
 def test_oracle_check_other_runtime_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
-        raise oracle.DecompositionError("not an integration failure")
+        raise RuntimeError("not an integration failure")
 
     monkeypatch.setattr(oracle, "integrate_master_equation", broken)
-    with pytest.raises(oracle.DecompositionError):
+    with pytest.raises(RuntimeError, match="not an integration failure"):
         main(["oracle-check", "--samples", "1"])
 
 

@@ -19,7 +19,7 @@ from decogauss.evolution import (
     purity,
 )
 from decogauss.scenarios import baseball_scenario, evolve_scenario
-from decogauss.units import CONSTANTS
+from decogauss.units import PLANCK_LENGTH
 from _quad import quad_purity, quad_trace
 
 # baseball magnitudes in Planck units (rounded to the published digits)
@@ -337,7 +337,7 @@ def test_state_unit_conversion_round_trip():
     # taken back to Planck units by hand
     evolution = evolve_scenario(baseball_scenario())
     there, back = evolution.state, evolution.state_si
-    ratio = CONSTANTS.planck_length**2
+    ratio = PLANCK_LENGTH**2
     for name in ("a_coeff", "b_coeff", "c_coeff"):
         assert getattr(back, name) * ratio == pytest.approx(getattr(there, name), rel=1e-12)
 

@@ -12,7 +12,7 @@ from decogauss.model import (
     lambda_composite_crosscheck,
     tau_from_time,
 )
-from decogauss.units import CONSTANTS
+from decogauss.units import HBAR, PLANCK_LENGTH
 
 BASEBALL = FreeParticle(mass=0.1459553, radius=0.0369)
 AIR = AirModel(molecular_mass=4.80965e-26, mass_density=1.2250, temperature=288.15)
@@ -54,12 +54,12 @@ def test_baseball_lambda_magnitude():
     env = air_environment(AIR, BASEBALL)
     lam = lambda_coefficient(big_lambda(env), BASEBALL)
     assert lam == pytest.approx(3.3e79, rel=0.15)
-    assert lam * CONSTANTS.planck_length**4 == pytest.approx(2.2e-60, rel=0.15)
+    assert lam * PLANCK_LENGTH**4 == pytest.approx(2.2e-60, rel=0.15)
 
 
 def test_lambda_coefficient_inverts_definition():
     particle = FreeParticle(mass=0.7)
-    rate = 3.0 * CONSTANTS.hbar / (2.0 * particle.mass)
+    rate = 3.0 * HBAR / (2.0 * particle.mass)
     assert lambda_coefficient(rate, particle) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_tau_zero():
 
 def test_tau_baseball():
     tau = tau_from_time(6.44675, BASEBALL)
-    assert tau == pytest.approx(CONSTANTS.hbar * 6.44675 / 0.1459553, rel=1e-12)
+    assert tau == pytest.approx(HBAR * 6.44675 / 0.1459553, rel=1e-12)
     assert tau == pytest.approx(4.66e-33, rel=1e-2)
 
 

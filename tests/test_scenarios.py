@@ -35,7 +35,7 @@ from decogauss.scenarios import (
     run,
     tolerance_failures,
 )
-from decogauss.units import CONSTANTS
+from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -140,7 +140,7 @@ def test_zero_decoherence_variant_stays_pure():
 def test_run_with_raw_environment():
     scenario = Scenario(
         particle=baseball_scenario().particle,
-        initial_dx_m=CONSTANTS.planck_length / 2.0,
+        initial_dx_m=PLANCK_LENGTH / 2.0,
         evolution_time_s=2.0,
         environment=ScatteringEnvironment(1e25, 4e-3, 500.0, 2e11),
         name="custom",
@@ -156,7 +156,7 @@ def test_baseball_named_environment_scenario_has_no_ledger():
     named baseball but given a raw [environment] runs without one."""
     scenario = Scenario(
         particle=baseball_scenario().particle,
-        initial_dx_m=CONSTANTS.planck_length / 2.0,
+        initial_dx_m=PLANCK_LENGTH / 2.0,
         evolution_time_s=2.0,
         environment=ScatteringEnvironment(1e25, 4e-3, 500.0, 2e11),
         name="baseball",
@@ -389,7 +389,7 @@ def test_initial_dx_planck_lengths_key():
         "initial_dx_m = 8.081275e-36", "initial_dx_planck_lengths = 0.5"
     )
     scenario = load_scenario(text)
-    assert scenario.initial_dx_m == pytest.approx(CONSTANTS.planck_length / 2.0, rel=1e-12)
+    assert scenario.initial_dx_m == pytest.approx(PLANCK_LENGTH / 2.0, rel=1e-12)
 
 
 # 1e-300 Planck lengths is positive but underflows to 0 m
