@@ -4,8 +4,9 @@ Subcommands: run (scenario config -> report), baseball (preset shortcut),
 oracle-check (grid validation at O(1) parameters), measure (observation
 profile), spectrum (spectral summary for explicit A, B, C).
 
-Exit codes: 0 success, 2 config error or unwritable --output, 3 validation
-failure, 4 oracle disagreement above tolerance.
+Exit codes: 0 success, 2 config error or unwritable --output (a
+scenarios.ConfigError), 3 validation failure (a ValueError), 4 oracle
+disagreement above tolerance.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _cmd_baseball(args) -> int:
 def _cmd_measure(args) -> int:
     scenario = _load_config(args.config)
     if scenario.observation is None:
-        raise scenarios.MissingKeyError("observation section")
+        raise scenarios.ConfigError("missing required config key: observation section")
     profile = scenarios.profile_rows(scenarios.evolve_scenario(scenario))
     report = scenarios.Report(scenario.name, scalars=(), trajectory=(), discrepancies=(), profile=profile)
     _write_output(scenarios.emit(report, args.format), args.output)

@@ -135,7 +135,7 @@ def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSoluti
     c0 = state0.c_coeff
     return CubicSolution(
         lam=lam,
-        a2=2.0 * state0.a_coeff + state0.b_coeff**2 / (2.0 * c0),
+        a2=2.0 * state0.a_coeff + state0.b_coeff * state0.b_coeff / (2.0 * c0),
         a1=-state0.b_coeff / (2.0 * c0),
         a0=1.0 / (8.0 * c0),
         ratio0=max(1.0, state0.a_coeff / c0),

@@ -66,8 +66,13 @@ def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     denom_y = a + op.alpha
     q_minus_gamma = c + b * b / (4.0 * denom_y)
     q = q_minus_gamma + op.gamma
-    prefactor = op.norm * math.sqrt(math.pi * c / (denom_y * q))
-    exponent = -4.0 * op.gamma * q_minus_gamma * op.center**2 / q
+    scale = denom_y * q
+    if scale > 0.0:
+        prefactor = op.norm * math.sqrt(math.pi * c / scale)
+    else:
+        # (A + alpha) Q underflowed; gamma/Q and C/(A + alpha) are at most 1
+        prefactor = 2.0 * math.sqrt(op.gamma / q) * math.sqrt(c / denom_y)
+    exponent = -4.0 * op.gamma * q_minus_gamma * (op.center * op.center) / q
     return prefactor * math.exp(exponent)
 
 

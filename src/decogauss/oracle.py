@@ -29,35 +29,12 @@ from .evolution import GaussianDensityMatrix
 
 __all__ = [
     "GridState",
-    "DomainCoverageError",
-    "IntegrationFailureError",
-    "FitQualityError",
     "GaussianFit",
     "discretize",
     "integrate_master_equation",
     "extract_gaussian_coefficients",
     "eigendecompose_kernel",
 ]
-
-
-class DomainCoverageError(ValueError):
-    """Grid domain too small for the state; carries the measured trace deficit."""
-
-    def __init__(self, message: str, trace_deficit: float):
-        super().__init__(message)
-        self.trace_deficit = trace_deficit
-
-
-class IntegrationFailureError(ValueError):
-    """The integration step went unstable."""
-
-
-class FitQualityError(ValueError):
-    """Kernel is not Gaussian to within the fit threshold; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _hermiticity_error(values: np.ndarray) -> float:
@@ -131,15 +108,12 @@ def discretize(
     grid = GridState(x_min, x_max, values)
     deficit = abs(1.0 - grid.trace())
     if x_min > -8.0 * sigma or x_max < 8.0 * sigma:
-        raise DomainCoverageError(
+        raise ValueError(
             f"domain [{x_min}, {x_max}] covers less than 8 standard deviations "
-            f"({sigma:.4g}); trace deficit {deficit:.3e}",
-            trace_deficit=deficit,
+            f"({sigma:.4g}); trace deficit {deficit:.3e}"
         )
     if not deficit <= 1e-8:
-        raise DomainCoverageError(
-            f"grid trace deviates from 1 by {deficit:.3e}", trace_deficit=deficit
-        )
+        raise ValueError(f"grid trace deviates from 1 by {deficit:.3e}")
     return grid
 
 
@@ -157,8 +131,8 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     modulus 1, so no interval is unstable.  (The order D F D needs the
     anti-diffusive exp(+(lam / 4) h^3 (k + k')^2) and blows up.)
 
-    Raises IntegrationFailureError if, after the damping, the sup norm has
-    grown by more than 10x or Hermiticity drifted past 1e-10.
+    Raises ValueError if, after the damping, the sup norm has grown by more
+    than 10x or Hermiticity drifted past 1e-10.
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
@@ -184,12 +158,12 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     rho *= damp
     peak = float(np.max(np.abs(rho)))
     if not math.isfinite(peak) or peak > 10.0 * initial_peak:
-        raise IntegrationFailureError(
+        raise ValueError(
             f"instability detected: sup norm grew from {initial_peak:.3e} to {peak:.3e}"
         )
     herm = _hermiticity_error(rho)
     if herm > 1e-10 * max(1.0, initial_peak):
-        raise IntegrationFailureError(f"Hermiticity drifted to {herm:.3e}")
+        raise ValueError(f"Hermiticity drifted to {herm:.3e}")
     rho = np.fft.fftn(rho, out=rho)
     rho *= half
     rho = np.fft.ifftn(rho, out=rho)
@@ -219,13 +193,13 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     The magnitude fixes A, C; the phase fixes B, seeded by a cross stencil at
     the peak and rewrapped against that seed, so phase wraps across the
     window do not alias the fit.  Residuals above FIT_RESIDUAL_THRESHOLD raise
-    FitQualityError (deliberately non-Gaussian input).
+    ValueError (deliberately non-Gaussian input).
     """
     v = grid.values
     mags = np.abs(v)
     peak = float(mags.max())
     if peak <= 0.0:
-        raise FitQualityError("kernel is identically zero", residual=math.inf)
+        raise ValueError("kernel is identically zero")
     mask = mags >= FIT_WINDOW_FLOOR * peak
     xs = grid.xs
     y = (xs[:, None] - xs[None, :])[mask]
@@ -269,10 +243,9 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
         float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
     )
     if residual > FIT_RESIDUAL_THRESHOLD:
-        raise FitQualityError(
+        raise ValueError(
             f"kernel deviates from the Gaussian form: residual {residual:.3e} "
-            f"exceeds {FIT_RESIDUAL_THRESHOLD:.1e}",
-            residual=residual,
+            f"exceeds {FIT_RESIDUAL_THRESHOLD:.1e}"
         )
     return GaussianFit(a_coeff=a_fit, b_coeff=b_fit, c_coeff=c_fit, residual=residual)
 

@@ -61,10 +61,6 @@ __all__ = [
     "DiscrepancyEntry",
     "ProfileRow",
     "ConfigError",
-    "ConfigParseError",
-    "MissingKeyError",
-    "UnknownKeyError",
-    "AmbiguityError",
     "flight_time",
     "baseball_scenario",
     "evolve_scenario",
@@ -81,29 +77,8 @@ JULIAN_YEAR_S = 31557600.0
 
 
 class ConfigError(Exception):
-    """Base for scenario-config problems (CLI exit code 2)."""
-
-
-class ConfigParseError(ConfigError):
-    """Config text that does not parse, or a value that does not convert."""
-
-
-class MissingKeyError(ConfigError):
-    """``key`` is the bare key; the message names it as ``section.key``."""
-
-    def __init__(self, key: str, section: Optional[str] = None):
-        super().__init__(f"missing required config key: {section + '.' if section else ''}{key}")
-        self.key = key
-
-
-class UnknownKeyError(ConfigError):
-    def __init__(self, keys):
-        self.keys = tuple(keys)
-        super().__init__("unknown config keys: " + ", ".join(self.keys))
-
-
-class AmbiguityError(ConfigError):
-    """Mutually exclusive config blocks or keys were both supplied."""
+    """Exit code 2: a config that cannot be read or parsed, a missing,
+    unknown or doubly supplied key, or an unwritable --output."""
 
 
 @dataclass(frozen=True)
@@ -429,7 +404,13 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
         )
         add("oscillator_period_years", period_s / JULIAN_YEAR_S, "yr")
     if scenario.speed_m_s is not None:
-        averaging_time = H / (0.5 * particle.mass * scenario.speed_m_s**2)
+        kinetic_energy = 0.5 * particle.mass * (scenario.speed_m_s * scenario.speed_m_s)
+        if kinetic_energy == 0.0:
+            raise ValueError(
+                f"scenario.speed_m_s = {scenario.speed_m_s!r} and particle.mass_kg = {particle.mass!r}"
+                " give a kinetic energy m*v^2/2 that underflows to 0"
+            )
+        averaging_time = H / kinetic_energy
         add("averaging_time_s", averaging_time, "s")
         add("averaging_time_over_flight_time", averaging_time / t_end, "1")
     add("averaged_A_per_m2", averaged.a_coeff, "1/m^2")
@@ -600,20 +581,22 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
             continue
         if key not in values:
             if name in required:
-                raise MissingKeyError(key, section)
+                raise ConfigError(f"missing required config key: {section}.{key}")
             continue
         try:
             kwargs[name] = parse(values[key])
         except ValueError as exc:
-            raise ConfigParseError(f"value of {section}.{key} {exc}") from None
+            raise ConfigError(f"value of {section}.{key} {exc}") from None
     return kwargs
 
 
 def load_scenario(config_text: str) -> Scenario:
     """Parse and validate flat key-value config text with [section] headers.
 
-    Keys carry their units in their names; unknown keys are rejected by
-    name, missing keys and ambiguous alternatives raise distinct errors.
+    Keys carry their units in their names.  Text that does not parse, a
+    value that does not convert, an unknown, missing or doubly supplied key
+    raise ConfigError naming it; a value its constructor rejects raises
+    ValueError.
     """
     # keys carry units in their names, so keep their case; no section can be
     # named "", so [DEFAULT] is an ordinary section whose keys are not copied
@@ -623,7 +606,7 @@ def load_scenario(config_text: str) -> Scenario:
     try:
         parser.read_string(config_text)
     except configparser.Error as exc:
-        raise ConfigParseError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
     known = {(section, key) for section, key, _, _ in _KEYS}
     unknown = [
@@ -633,25 +616,25 @@ def load_scenario(config_text: str) -> Scenario:
         if (section, key) not in known
     ]
     if unknown:
-        raise UnknownKeyError(sorted(unknown))
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
     settings = _read_section(parser, "scenario")
     particle = FreeParticle(**_read_section(parser, "particle"))
     has_air = parser.has_section("air")
     if has_air == parser.has_section("environment"):
         if has_air:
-            raise AmbiguityError("config supplies both an [air] and an [environment] block")
-        raise MissingKeyError("air or environment section")
+            raise ConfigError("config supplies both an [air] and an [environment] block")
+        raise ConfigError("missing required config key: air or environment section")
     for section in ("air", "environment", "observation"):
         if parser.has_section(section):
             settings[section] = _SECTIONS[section](**_read_section(parser, section))
     if has_air and particle.radius is None:
-        raise MissingKeyError("radius_m", "particle")
+        raise ConfigError("missing required config key: particle.radius_m")
 
     dx_planck = settings.pop("initial_dx_planck_lengths", None)
     if dx_planck is not None:
         if "initial_dx_m" in settings:
-            raise AmbiguityError("config supplies both initial_dx_m and initial_dx_planck_lengths")
+            raise ConfigError("config supplies both initial_dx_m and initial_dx_planck_lengths")
         # checked before Scenario sees it in meters, so the message names this key
         dx_m = dx_planck * PLANCK_LENGTH
         if not (math.isfinite(dx_m) and dx_m > 0.0):
@@ -659,10 +642,10 @@ def load_scenario(config_text: str) -> Scenario:
             raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")
         settings["initial_dx_m"] = dx_m
     elif "initial_dx_m" not in settings:
-        raise MissingKeyError("initial_dx_m", "scenario")
+        raise ConfigError("missing required config key: scenario.initial_dx_m")
     if "evolution_time_s" not in settings:
         if "speed_m_s" not in settings:
-            raise MissingKeyError("evolution_time_s", "scenario")
+            raise ConfigError("missing required config key: scenario.evolution_time_s")
         settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
     return Scenario(particle=particle, **settings)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,19 +243,20 @@ def _log_uniform(low, high):
 @st.composite
 def extreme_configs(draw):
     """Config text with every number log-uniform over a range its
-    constructor accepts."""
-    def number(key, low=1e-100, high=1e100):
+    constructor accepts, and windows at -w, 0 and w."""
+    def number(key, low=1e-300, high=1e300):
         return f"{key} = {draw(_log_uniform(low, high))!r}"
 
     lines = [
         "[scenario]",
         number("initial_dx_m", 1e-200, 1e150),
         number("evolution_time_s", 1e-200, 1e200),
+        number("speed_m_s"),
         "[particle]",
         number("mass_kg", 1e-250, 1e250),
     ]
     if draw(st.booleans()):
-        lines += [number("radius_m", 1e-200, 1e100), "[air]"]
+        lines += [number("radius_m"), "[air]"]
         lines += [number(key) for key in ("molecular_mass_kg", "mass_density_kg_m3", "temperature_K")]
     else:
         lines.append("[environment]")
@@ -267,6 +269,13 @@ def extreme_configs(draw):
                 "rms_wavenumber_per_m",
             )
         ]
+    width = draw(_log_uniform(1e-300, 1e300))
+    lines += [
+        "[observation]",
+        f"centers_m = {-width!r}, 0.0, {width!r}",
+        number("alpha_per_m2"),
+        number("gamma_per_m2"),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -276,7 +285,72 @@ def test_every_loadable_config_reports_or_exits_3(text, tmp_path_factory):
     folder = tmp_path_factory.mktemp("extreme")
     config = folder / "scenario.ini"
     config.write_text(text)
-    assert main(["run", "--config", str(config), "--output", str(folder / "report.txt")]) in (0, 3)
+    for command in ("run", "measure"):
+        assert main([command, "--config", str(config), "--output", str(folder / "report.txt")]) in (0, 3)
+
+
+EXTREME = dump_scenario(baseball_scenario()).replace("name = baseball", "name = extreme") + (
+    "\n[observation]\ncenters_m = 0.0\nalpha_per_m2 = 1.0\ngamma_per_m2 = 1e-5\n"
+)
+
+# One config per float power, or division by a product, that escaped as an
+# OverflowError or ZeroDivisionError traceback: (config text, replaced
+# values, validation error of run, of measure), where None means exit 0.
+POWER_CASES = {
+    "wavenumber_squared": (
+        (GOLDEN / "environment.ini").read_text(),
+        {"rms_wavenumber_per_m": "1e160"},
+        "localization rate must be nonnegative, got inf",
+        "localization rate must be nonnegative, got inf",
+    ),
+    "air_wavenumber_squared": (
+        EXTREME,
+        {"molecular_mass_kg": "1e300"},
+        "localization rate must be nonnegative, got nan",
+        "localization rate must be nonnegative, got nan",
+    ),
+    "radius_squared": (
+        EXTREME,
+        {"radius_m": "1e200"},
+        "cross_section must be positive and finite, got inf",
+        "cross_section must be positive and finite, got inf",
+    ),
+    "center_squared": (EXTREME, {"centers_m": "1e200"}, None, None),
+    "speed_squared": (EXTREME, {"speed_m_s": "1e200"}, None, None),
+    "air_speed_cubed": (
+        EXTREME,
+        {"temperature_K": "1e200", "molecular_mass_kg": "1e-50", "radius_m": "1e-150"},
+        None,
+        None,
+    ),
+    "kinetic_energy_underflow": (
+        EXTREME,
+        {"speed_m_s": "1e-200"},
+        "scenario.speed_m_s = 1e-200 and particle.mass_kg = 0.1459553 give a kinetic energy"
+        " m*v^2/2 that underflows to 0",
+        None,
+    ),
+    "measure_denominator_underflow": (
+        EXTREME.replace("\n\n[particle]", "\ndisable_decoherence = true\n\n[particle]"),
+        {"initial_dx_m": "1e110", "alpha_per_m2": "0.0", "gamma_per_m2": "1e-300"},
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "measure"])
+@pytest.mark.parametrize("case", POWER_CASES)
+def test_extreme_power_or_product_reports_or_exits_3(case, command, tmp_path, capsys):
+    text, values, run_error, measure_error = POWER_CASES[case]
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        assert count == 1, key
+    config = tmp_path / "power.ini"
+    config.write_text(text)
+    error = run_error if command == "run" else measure_error
+    code = main([command, "--config", str(config), "--output", str(tmp_path / "report.txt")])
+    assert (code, capsys.readouterr().err) == ((0, "") if error is None else (3, f"validation error: {error}\n"))
 
 
 def test_spectrum_overflow_says_finite_and_nonnegative(capsys):
@@ -303,6 +377,7 @@ def test_measure_requires_observation_section(tmp_path):
     config.write_text(dump_scenario(baseball_scenario()))
     result = run_cli("measure", "--config", str(config))
     assert result.returncode == 2
+    assert result.stderr == "config error: missing required config key: observation section\n"
 
 
 def test_oracle_check_passes():
@@ -313,7 +388,7 @@ def test_oracle_check_passes():
 
 def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):
     def unstable(*args, **kwargs):
-        raise oracle.IntegrationFailureError("instability detected")
+        raise ValueError("instability detected")
 
     monkeypatch.setattr(oracle, "integrate_master_equation", unstable)
     assert main(["oracle-check", "--samples", "1"]) == 3

@@ -84,6 +84,13 @@ def test_cubic_rejects_negative_lam():
         cubic_from_initial(GaussianDensityMatrix(0.5, 0.0, 0.5), lam=-1.0)
 
 
+@pytest.mark.parametrize("b", [1e200, -1e200])
+def test_cubic_rejects_overflowing_chirp_naming_a2(b):
+    # B**2 overflowed as a float power and escaped as an OverflowError
+    with pytest.raises(ValueError, match=r"^a2 must be finite, got inf$"):
+        cubic_from_initial(GaussianDensityMatrix(1e300, b, 1.0), 0.0)
+
+
 def test_cubic_initial_ratio_is_a_over_c():
     state = GaussianDensityMatrix(0.75, -0.5, 0.0625)
     cubic = cubic_from_initial(state, lam=1.0)

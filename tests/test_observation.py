@@ -129,6 +129,18 @@ def test_measure_quadrature_property(state, center, alpha, gamma):
     assert got == pytest.approx(quad_measure(op, state), rel=1e-7, abs=1e-30)
 
 
+def test_measure_survives_an_underflowing_denominator():
+    # the measure is dimensionless: coefficients times 2**-540 leave it
+    # unchanged at the centre, but (A + alpha) Q underflows to 0 (B = 0,
+    # since B**2 would underflow too)
+    scale = 2.0**-540
+    state, op = GaussianDensityMatrix(0.75, 0.0, 0.0625), ObservationOperator(0.0, 0.8, 1.1)
+    small = GaussianDensityMatrix(state.a_coeff * scale, 0.0, state.c_coeff * scale)
+    small_op = ObservationOperator(0.0, op.alpha * scale, op.gamma * scale)
+    assert (small.a_coeff + small_op.alpha) * (small.c_coeff + small_op.gamma) == 0.0
+    assert measure(small_op, small) == pytest.approx(measure(op, state), rel=1e-15)
+
+
 def test_profile_singleton_matches_measure():
     rows = measure_profile([0.7], 0.5, 1.0, STATE)
     assert rows == [(0.7, measure(ObservationOperator(0.7, 0.5, 1.0), STATE))]
