@@ -126,17 +126,20 @@ def lambda_composite_crosscheck(air: AirModel, particle: FreeParticle) -> float:
     Retained only as a flagged cross-check for the discrepancy report: it
     disagrees with the defining two-step chain by a factor of 2*pi.  Never
     used as the evolution coefficient.  sigma and v_a are those of
-    ``air_environment``.
+    ``air_environment``.  Where the product underflows to 0 or overflows
+    to inf part-way (m*sigma*m_a*rho ~ 0 against v_a^3 ~ inf reads nan),
+    it is taken as a sum of logs instead.
     """
     env = air_environment(air, particle)
-    return (
-        particle.mass
-        * env.cross_section
-        * air.molecular_mass
-        * air.mass_density
-        * _power(env.mean_relative_velocity, 3)
-        / (3.0 * H**3)
-    )
+    factors = (particle.mass, env.cross_section, air.molecular_mass, air.mass_density)
+    value = math.prod(factors) * _power(env.mean_relative_velocity, 3) / (3.0 * H**3)
+    if math.isfinite(value) and value > 0.0:
+        return value
+    log_value = sum(map(math.log, factors)) + 3.0 * math.log(env.mean_relative_velocity) - math.log(3.0 * H**3)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def tau_from_time(t: float, particle: FreeParticle) -> float:

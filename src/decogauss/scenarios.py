@@ -43,12 +43,7 @@ from .model import (
     _require_positive,
 )
 from .observation import measure_profile
-from .spectral import (
-    eigenstate_spec,
-    mean_excitation,
-    spectral_summary,
-    von_neumann_entropy,
-)
+from .spectral import eigenstate_spec, eigenvalue, mean_excitation, von_neumann_entropy
 from .units import H, HBAR, PLANCK_LENGTH, SPEED_OF_LIGHT, STANDARD_GRAVITY
 
 __all__ = [
@@ -74,6 +69,8 @@ __all__ = [
 
 OUNCE_KG = 0.028349523125
 JULIAN_YEAR_S = 31557600.0
+# m^2 per l_Pl^2, the one scale between SI and Planck units
+_AREA = PLANCK_LENGTH**2
 
 
 class ConfigError(Exception):
@@ -225,8 +222,10 @@ def _significand(value: float) -> float:
     return value / 10.0**exponent
 
 
-def _entropy_at(cubic, tau: float) -> float:
-    return von_neumann_entropy(mean_excitation(evolve(cubic, tau)))
+def _excitation(state: GaussianDensityMatrix) -> tuple[float, float]:
+    """Mean excitation N and entropy S in nats, the one route every row takes."""
+    n_mean = mean_excitation(state)
+    return n_mean, von_neumann_entropy(n_mean)
 
 
 @dataclass(frozen=True)
@@ -257,11 +256,9 @@ def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
     loc_rate = big_lambda(env)
     lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
 
-    area = PLANCK_LENGTH**2
-    lam_planck = lam_si * area * area
+    lam_planck = lam_si * _AREA * _AREA
     tau_si = tau_from_time(scenario.evolution_time_s, particle)
-    tau_planck = tau_si / area
-    per_m2 = (1.0 / PLANCK_LENGTH) ** 2
+    tau_planck = tau_si / _AREA
     dx_planck = scenario.initial_dx_m / PLANCK_LENGTH
     try:
         cubic = cubic_from_initial(minimum_uncertainty_initial(dx_planck * dx_planck), lam_planck)
@@ -270,12 +267,12 @@ def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
             raise
         # a width far from the Planck scale overflows or underflows 1/(8 dx^2)
         raise ValueError(
-            f"initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
+            f"scenario.initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
             f" in Planck units: {exc}"
         ) from None
     try:
         state = evolve(cubic, tau_planck)
-        state_si = GaussianDensityMatrix(state.a_coeff * per_m2, state.b_coeff * per_m2, state.c_coeff * per_m2)
+        state_si = GaussianDensityMatrix(state.a_coeff / _AREA, state.b_coeff / _AREA, state.c_coeff / _AREA)
     except ValueError as exc:
         if not math.isfinite(tau_planck):
             raise
@@ -334,7 +331,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     tau_consistency = abs(tau_planck - t_native / m_native) / tau_planck
 
     averaged = phase_average(evolution.state_si)
-    summary = spectral_summary(state)
+    n_mean, entropy = _excitation(state)
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
 
@@ -385,13 +382,13 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     )
     add("momentum_variance_shift", 3.0 * lam_planck * tau_planck, "1")
     add("momentum_spread_kg_m_s", HBAR * math.sqrt(dp2_planck) / l_pl, "kg*m/s")
-    add("mean_excitation", summary.mean_excitation, "1")
-    add("entropy_nats", summary.entropy_nats, "nat")
-    add("p0", summary.p0, "1")
+    add("mean_excitation", n_mean, "1")
+    add("entropy_nats", entropy, "nat")
+    add("p0", eigenvalue(n_mean, 0), "1")
     add("purity", purity(state), "1")
     add(
         "ground_state_variance_m2",
-        l_pl * l_pl / (4.0 * eigenstate_spec(state, 0).width_parameter),
+        _AREA / (4.0 * eigenstate_spec(state, 0).width_parameter),
         "m^2",
     )
     if lam_si > 0.0:
@@ -417,7 +414,7 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     add("averaged_A_significand", _significand(averaged.a_coeff), "1")
     add("averaged_C_per_m2", averaged.c_coeff, "1/m^2")
     if lam_si > 0.0:
-        growth = _entropy_at(cubic, tau_planck * math.e) - _entropy_at(cubic, tau_planck)
+        growth = _excitation(evolve(cubic, tau_planck * math.e))[1] - entropy
         add("entropy_growth_coefficient", growth, "1")
     return tuple(rows)
 
@@ -449,23 +446,20 @@ def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow
     """One SI row per sample time; one scale for the whole table rather
     than a converted state per row."""
     particle, cubic = evolution.scenario.particle, evolution.cubic
-    area = PLANCK_LENGTH**2
     rows = []
     for t in times:
-        tau_t = tau_from_time(t, particle) / area
+        tau_t = tau_from_time(t, particle) / _AREA
         state_t = evolve(cubic, tau_t)
-        n_t = mean_excitation(state_t)
         rows.append(
             TrajectoryRow(
                 t,
-                tau_t * area,
-                position_variance(cubic, tau_t) * area,
-                momentum_variance(cubic, tau_t) / area,
-                state_t.a_coeff / area,
-                state_t.b_coeff / area,
-                state_t.c_coeff / area,
-                n_t,
-                von_neumann_entropy(n_t),
+                tau_t * _AREA,
+                position_variance(cubic, tau_t) * _AREA,
+                momentum_variance(cubic, tau_t) / _AREA,
+                state_t.a_coeff / _AREA,
+                state_t.b_coeff / _AREA,
+                state_t.c_coeff / _AREA,
+                *_excitation(state_t),
             )
         )
     return tuple(rows)
@@ -681,23 +675,12 @@ def dump_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # emission
 
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.8e}"
+def _fmt(value: Optional[float], spec: str = ".8e") -> str:
+    """A text or CSV cell; "+ 0.0" normalizes -0.0."""
+    return "" if value is None else format(value + 0.0, spec)
 
 
-def _fmt_dev(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    if value == 0.0:
-        value = 0.0
-    return f"{value:.2e}"
-
-
-def _sections(report: Report, num=_fmt, dev=_fmt_dev, text=str):
+def _sections(report: Report, num=_fmt, dev=partial(_fmt, spec=".2e"), text=str):
     """The one walk over a report: (section, column names, rows of cells)
     for each section, in emission order, each cell spelled by ``num``,
     ``dev`` (deviations) or ``text``.  The column names are the CSV headers
@@ -725,7 +708,7 @@ _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_num(value: Optional[float], spec: str = ".9g") -> str:
     """json.dumps(float(_fmt(value))) from one format call; with spec ".3g",
-    the same for _fmt_dev.  "+ 0.0" normalizes -0.0 as _fmt does."""
+    the same for _fmt(value, ".2e").  "+ 0.0" normalizes -0.0 as _fmt does."""
     if value is None:
         return "null"
     text = format(value + 0.0, spec)

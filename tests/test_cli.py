@@ -180,7 +180,7 @@ def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, command, via, tmp
     else:
         code, err = main([command, "--config", str(config)]), capsys.readouterr().err
     assert code == 3
-    assert f"initial_dx_m = {float(dx)!r} gives a state that is not representable" in err
+    assert f"scenario.initial_dx_m = {float(dx)!r} gives a state that is not representable" in err
 
 
 @pytest.mark.parametrize(
@@ -384,6 +384,25 @@ def test_oracle_check_passes():
     result = run_cli("oracle-check", "--samples", "1")
     assert result.returncode == 0, result.stderr
     assert "worst disagreement" in result.stdout
+
+
+def test_oracle_check_prints_its_seeded_sets(capsys):
+    """The four seeded parameter sets of --samples 4, each agreeing with the
+    closed form far inside the 1e-3 tolerance, then the worst of them."""
+    assert main(["oracle-check", "--samples", "4"]) == 0
+    *sets, worst = capsys.readouterr().out.splitlines()
+    expected = [
+        "dx0^2=0.773 lam=1.004 tau=0.188",
+        "dx0^2=0.789 lam=0.612 tau=0.192",
+        "dx0^2=0.982 lam=1.085 tau=0.180",
+        "dx0^2=0.814 lam=0.786 tau=0.211",
+    ]
+    assert len(sets) == len(expected)
+    for k, (line, parameters) in enumerate(zip(sets, expected), start=1):
+        match = re.fullmatch(rf"set {k}: {re.escape(parameters)} max rel err=(\S+) ok", line)
+        assert match, line
+        assert float(match[1]) < 1e-11
+    assert worst.startswith("worst disagreement: ")
 
 
 def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):

@@ -123,6 +123,16 @@ def test_composite_crosscheck_differs_by_two_pi():
     assert chain / composite == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+def test_composite_crosscheck_survives_an_underflow_against_an_overflow():
+    # m*sigma*m_a*rho underflows to 0 while v_a^3 overflows, which read nan;
+    # the reference is a 50-digit mpmath evaluation from the same float inputs
+    # and constants
+    composite = lambda_composite_crosscheck(AirModel(1e-50, 1.225, 1e200), FreeParticle(0.1459553, 1e-150))
+    assert composite == pytest.approx(1.7156286701593398176e90, rel=1e-12)
+    # a composite beyond the largest double is inf, not an OverflowError
+    assert lambda_composite_crosscheck(AirModel(1e-26, 1e200, 1e300), FreeParticle(1e300, 1e100)) == math.inf
+
+
 def test_invariant_violations_rejected():
     with pytest.raises(ValueError):
         FreeParticle(mass=-1.0)

@@ -13,11 +13,11 @@ from _sweep import random_config, sweep
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from decogauss import scenarios
 from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment
 from decogauss.scenarios import (
     _KEYS,
     _fmt,
-    _fmt_dev,
     _json_num,
     _sections,
     ConfigError,
@@ -27,11 +27,13 @@ from decogauss.scenarios import (
     baseball_scenario,
     dump_scenario,
     emit,
+    evolve_scenario,
     flight_time,
     load_scenario,
     run,
     tolerance_failures,
 )
+from decogauss.spectral import spectral_summary
 from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,6 +185,31 @@ def test_observation_profile_in_report():
     assert len(values) == 5
     assert values == values[::-1]  # symmetric state, symmetric centers
     assert values[2] >= max(values[0], values[1])
+
+
+@pytest.mark.parametrize("disable_decoherence, calls", [(False, 11), (True, 10)])
+def test_report_evolves_the_final_state_once(disable_decoherence, calls, monkeypatch):
+    """One evolve for the final state, one per trajectory row (8 samples
+    give 9), and, where lambda > 0, one at tau*e for the entropy growth."""
+    evolve, counted = scenarios.evolve, []
+
+    def counting(cubic, tau):
+        counted.append(tau)
+        return evolve(cubic, tau)
+
+    monkeypatch.setattr(scenarios, "evolve", counting)
+    run(dataclasses.replace(baseball_scenario(), disable_decoherence=disable_decoherence))
+    assert len(counted) == calls
+
+
+def test_report_spectrum_rows_are_the_spectral_summary():
+    """The report and `decogauss spectrum` read N, S and p0 off the same
+    state the same way."""
+    for scenario in [baseball_scenario(), *(load_scenario(text) for text, _ in sweep(0, 30))]:
+        summary = spectral_summary(evolve_scenario(scenario).state)
+        report = run(scenario, samples=1)
+        rows = [scalar(report, name).value for name in ("mean_excitation", "entropy_nats", "p0")]
+        assert rows == [summary.mean_excitation, summary.entropy_nats, summary.p0], scenario.name
 
 
 # --- config ingestion --------------------------------------------------------------
@@ -504,7 +531,7 @@ _SPELLED = [
 
 def _assert_spelled_as_json_dumps(value):
     assert _json_num(value) == json.dumps(_parsed(_fmt(value)))
-    assert _json_num(value, ".3g") == json.dumps(_parsed(_fmt_dev(value)))
+    assert _json_num(value, ".3g") == json.dumps(_parsed(_fmt(value, ".2e")))
 
 
 @pytest.mark.parametrize("value", [sign * v for v in _SPELLED for sign in (1.0, -1.0)])
