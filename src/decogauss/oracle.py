@@ -12,6 +12,14 @@ the one splitting error, a commuting Fourier factor, is removed exactly (see
 integrate_master_equation).  The damping coefficient in tau units is
 3*lam/2.
 
+eigendecompose_kernel solves the kernel's two reflection-parity blocks as
+real symmetric matrices: it requires a Hermitian, reflection-symmetric
+kernel that is real up to a diagonal phase read from the grid, with every
+leftover above 1e-10 * max(1, peak) raised as ValueError, and the dropped
+imaginary part moves eigenvalues only at second order (see its docstring).
+integrate_master_equation, extract_gaussian_coefficients and
+eigendecompose_kernel reject a grid holding NaN or inf by name.
+
 Exercised only at O(1) dimensionless parameters: the macroscopic regime
 spans ~150 decades of coefficient magnitude and is not grid-representable;
 the closed form is parameter-smooth, so O(1) validation transfers.
@@ -42,6 +50,13 @@ def _hermiticity_error(values: np.ndarray) -> float:
     the subtraction does not read a transposed view column by column."""
     adjoint = np.conjugate(values.T, order="C")
     return float(np.max(np.abs(np.subtract(values, adjoint, out=adjoint))))
+
+
+def _finite_peak(peak: float) -> float:
+    """The grid's peak modulus, which is NaN or inf when any value is."""
+    if not math.isfinite(peak):
+        raise ValueError(f"grid is not finite: peak modulus {peak}")
+    return peak
 
 
 @dataclass
@@ -150,19 +165,19 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     # in place on the integrator's own copy; ifftn, because numpy 2's
     # ifft2 drops its out= argument
     rho = grid.values.astype(np.complex128, copy=True)
-    initial_peak = float(np.max(np.abs(rho)))
+    initial_peak = _finite_peak(float(np.max(np.abs(rho))))
     rho = np.fft.fftn(rho, out=rho)
     rho *= corrected
     del corrected  # free before the Hermiticity guard allocates its adjoint
     rho = np.fft.ifftn(rho, out=rho)
     rho *= damp
     peak = float(np.max(np.abs(rho)))
-    if not math.isfinite(peak) or peak > 10.0 * initial_peak:
+    if not peak <= 10.0 * initial_peak:
         raise ValueError(
             f"instability detected: sup norm grew from {initial_peak:.3e} to {peak:.3e}"
         )
     herm = _hermiticity_error(rho)
-    if herm > 1e-10 * max(1.0, initial_peak):
+    if not herm <= 1e-10 * max(1.0, initial_peak):
         raise ValueError(f"Hermiticity drifted to {herm:.3e}")
     rho = np.fft.fftn(rho, out=rho)
     rho *= half
@@ -197,7 +212,7 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     """
     v = grid.values
     mags = np.abs(v)
-    peak = float(mags.max())
+    peak = _finite_peak(float(mags.max()))
     if peak <= 0.0:
         raise ValueError("kernel is identically zero")
     mask = mags >= FIT_WINDOW_FLOOR * peak
@@ -208,11 +223,17 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
 
     # magnitude part: -ln|v| = A y^2 + C z^2 + Re D
     data_r = -np.log(mags[mask])
-    design = np.column_stack([y * y, z * z, np.ones_like(y)])
-    scale = np.max(np.abs(design), axis=0)
-    coeffs, *_ = np.linalg.lstsq(
-        (w[:, None] * design) / scale, w * data_r, rcond=None
-    )
+    # one row per basis function, so design.T is the Fortran-ordered matrix
+    # LAPACK reads, weighted and scaled in place
+    design = np.empty((3, len(y)))
+    np.multiply(y, y, out=design[0])
+    np.multiply(z, z, out=design[1])
+    design[2] = 1.0
+    scale = design.max(axis=1)  # every entry is nonnegative
+    design *= w
+    design /= scale[:, None]
+    coeffs, *_ = np.linalg.lstsq(design.T, w * data_r, rcond=None)
+    del design
     coeffs = coeffs / scale
     a_fit, c_fit, d_fit = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
@@ -250,6 +271,38 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     return GaussianFit(a_coeff=a_fit, b_coeff=b_fit, c_coeff=c_fit, residual=residual)
 
 
+def _centre_chained_phase(even: np.ndarray) -> np.ndarray:
+    """Unit phases P with P^* even P real for a kernel real up to a diagonal
+    phase.  The last index, nearest x = 0, has phase 1; every other index
+    links to its largest-modulus entry toward it (the upper triangle), so
+    its phase follows from the linked one's through that entry."""
+    k = len(even)
+    mags = np.triu(np.abs(even), 1)
+    index = np.arange(k)
+    nearest = np.argmax(mags, axis=1)
+    modulus = mags[index, nearest]
+    ratio = np.divide(even[index, nearest], modulus, out=np.ones(k, complex), where=modulus > 0.0)
+    # a row with no nonzero entry toward the centre links to its neighbour
+    nearest = np.where(modulus > 0.0, nearest, np.minimum(index + 1, k - 1)).tolist()
+    ratio = ratio.tolist()
+    chain = [1.0 + 0.0j] * k
+    for i in range(k - 2, -1, -1):
+        chain[i] = chain[nearest[i]] * ratio[i]
+    phase = np.array(chain)
+    return phase / np.abs(phase)
+
+
+def _strip_phase(block: np.ndarray, phase: np.ndarray, bound: float) -> np.ndarray:
+    """Re(P^* block P), rotating block in place, once Im(P^* block P) is
+    checked to be within bound."""
+    block *= phase.conj()[:, None]
+    block *= phase
+    residue = float(np.max(np.abs(block.imag)))
+    if not residue <= bound:
+        raise ValueError(f"kernel is not real up to a diagonal phase: deviation {residue:.3e}")
+    return block.real
+
+
 def eigendecompose_kernel(grid: GridState, count: int):
     """Top eigenvalues (descending) and grid eigenvectors of kernel * spacing.
 
@@ -259,35 +312,50 @@ def eigendecompose_kernel(grid: GridState, count: int):
     raises ValueError.  J splits the kernel into its even and odd sectors.
     With m = n // 2, L = v[:m, :m] and R[i, j] = v[i, n-1-j], the even block
     is L + R (for odd n bordered by sqrt(2) times the centre row and by the
-    centre element) and the odd block is L - R.  Each half-size block gets
-    its own LAPACK eigh; the spectra merge in descending order, and a sector
-    vector u lifts to [u/sqrt(2), (u_centre), +-reversed(u)/sqrt(2)], so
+    centre element) and the odd block is L - R.
+
+    The kernel must also be real up to a diagonal phase, rho = P F P^* with
+    F real and |P_ii| = 1, as every Gaussian kernel is (its chirp
+    exp(-i B (x^2 - x'^2)) is such a P).  P is read from the even block,
+    never from B, by chaining phases outward from the grid point nearest
+    x = 0 (see _centre_chained_phase), and the odd block shares it.  A
+    leftover imaginary part above 1e-10 * max(1, peak) in either block
+    raises ValueError.  The
+    rotation P^* block P is an exact unitary similarity, and the leftover
+    part of a Hermitian block is i K with K real antisymmetric, so u^T K u
+    = 0 for every real u and dropping it moves an eigenvalue only at second
+    order, by at most |K|^2 / gap (Golub & Van Loan, Matrix Computations,
+    4th ed., sec. 8.1).  Each real half-size block gets its own LAPACK
+    eigh; the spectra merge in descending order, and a sector vector u
+    lifts to P [u/sqrt(2), (u_centre), +-reversed(u)/sqrt(2)], so
     eigenvector k of a Gaussian ladder has parity (-1)^k.
     """
     if not (1 <= count <= 32):
         raise ValueError(f"count must be between 1 and 32, got {count}")
     v, n = grid.values, grid.n_points
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(v))))
+    bound = 1e-10 * max(1.0, _finite_peak(float(np.max(np.abs(v)))))
     herm = _hermiticity_error(v)
-    if herm > bound:
+    if not herm <= bound:
         raise ValueError(f"grid is not Hermitian: deviation {herm:.3e}")
     # v - JvJ is odd under J, so its top (n + 1) // 2 rows hold its maximum
     rows = (n + 1) // 2
     asym = float(np.max(np.abs(v[:rows] - v[::-1, ::-1][:rows])))
-    if asym > bound:
+    if not asym <= bound:
         raise ValueError(f"grid is not reflection symmetric: deviation {asym:.3e}")
 
     m = n // 2
+    k = n - m  # even-block size; index k - 1 is the grid point nearest x = 0
     left, right = v[:m, :m], v[:m, ::-1][:, :m]
-    even = np.empty((n - m, n - m), dtype=v.dtype)
+    even = np.empty((k, k), dtype=v.dtype)
     np.add(left, right, out=even[:m, :m])
     if n % 2:
         even[:m, m] = math.sqrt(2.0) * v[:m, m]
         even[m, :m] = math.sqrt(2.0) * v[m, :m]
         even[m, m] = v[m, m]
-    even *= grid.spacing
     odd = np.subtract(left, right)
-    odd *= grid.spacing
+    phase = _centre_chained_phase(even)
+    even = _strip_phase(even, phase, bound) * grid.spacing
+    odd = _strip_phase(odd, phase[:m], bound) * grid.spacing
     even_vals, even_vecs = np.linalg.eigh(even)
     odd_vals, odd_vecs = np.linalg.eigh(odd)
 
@@ -295,10 +363,11 @@ def eigendecompose_kernel(grid: GridState, count: int):
     # and lift only the top count vectors, so the caller keeps no n x n array
     eigvals = np.concatenate([even_vals[::-1], odd_vals[::-1]])
     top = np.argsort(-eigvals, kind="stable")[:count]
-    is_even = top < n - m
-    sector = np.zeros((n - m, len(top)), dtype=even_vecs.dtype)
+    is_even = top < k
+    sector = np.zeros((k, len(top)), dtype=complex)
     sector[:, is_even] = even_vecs[:, ::-1][:, top[is_even]]
-    sector[:m, ~is_even] = odd_vecs[:, ::-1][:, top[~is_even] - (n - m)]
+    sector[:m, ~is_even] = odd_vecs[:, ::-1][:, top[~is_even] - k]
+    sector *= phase[:, None]
     half = sector[:m] / math.sqrt(2.0)
     parity = np.where(is_even, 1.0, -1.0)
     return eigvals[top], np.concatenate([half, sector[m:], parity * half[::-1]])

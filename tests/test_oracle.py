@@ -167,7 +167,7 @@ def test_single_step_over_long_interval_is_stable():
     assert _hermiticity_error(evolved.values) < 1e-10
 
 
-def test_instability_raises_with_step_index():
+def test_integration_raises_on_hermiticity_drift():
     grid = spanning_grid(MIXED, n_points=128)
     values = grid.values.copy()
     values[3, 5] += 0.1
@@ -214,7 +214,7 @@ def _convergence_problem(sigmas=8.0):
     return grid, lam, tau_end, evolve(cubic, tau_end)
 
 
-def test_result_does_not_depend_on_step_count():
+def test_one_corrected_step_meets_the_closed_form():
     # Strang's error on this equation is exactly exp(-(lam/2) h^3 d_z^2),
     # which the integrator removes, so its one step meets the closed form
     grid, lam, tau_end, exact = _convergence_problem()
@@ -329,6 +329,56 @@ def test_eigendecompose_parity_sectors_match_the_full_solve(state, n_points):
     assert np.max(np.abs(eigvecs.conj().T @ eigvecs - np.eye(8))) <= 1e-13
     for k in range(8):
         assert np.array_equal(eigvecs[::-1, k], (-1) ** k * eigvecs[:, k])
+
+
+def test_eigendecompose_rejects_a_kernel_not_real_up_to_a_phase():
+    # i S with S real, antisymmetric and S = JSJ keeps the grid Hermitian and
+    # reflection symmetric, but no diagonal phase makes it real
+    grid = spanning_grid(MIXED, n_points=128)
+    rng = np.random.default_rng(7)
+    s = rng.standard_normal((128, 128))
+    s -= s.T
+    s += s[::-1, ::-1]
+    peak = float(np.max(np.abs(grid.values)))
+    twisted = GridState(grid.x_min, grid.x_max, grid.values + 1e-3j * peak * s)
+    with pytest.raises(ValueError, match=r"^kernel is not real up to a diagonal phase: deviation "):
+        eigendecompose_kernel(twisted, 8)
+
+
+@pytest.mark.parametrize("n_points", [192, 256, 257])
+def test_eigendecompose_accepts_integrated_grids(n_points):
+    # the phase read from an integrated grid leaves rounding alone, so the
+    # real sector solves match the full complex solve
+    for cubic, tau in _oracle_check_and_chirped_cubics():
+        span = 8.0 * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau))) + 0.5
+        grid = discretize(evolve(cubic, 0.0), -span, span, n_points)
+        evolved = integrate_master_equation(grid, cubic.lam, tau)
+        eigvals, _ = eigendecompose_kernel(evolved, 16)
+        full = np.linalg.eigh(evolved.values * evolved.spacing).eigenvalues[::-1][:16]
+        assert np.max(np.abs(eigvals - full)) <= 1e-13
+
+
+def _grid_with_a_nan_pair():
+    grid = spanning_grid(MIXED, n_points=128)
+    values = grid.values.copy()
+    values[3, 5] = values[5, 3] = math.nan
+    return GridState(grid.x_min, grid.x_max, values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: integrate_master_equation(grid, 1.0, 0.2),
+        extract_gaussian_coefficients,
+        lambda grid: eigendecompose_kernel(grid, 4),
+    ],
+    ids=["integrate", "fit", "eigendecompose"],
+)
+def test_entry_points_reject_a_nan_grid(call):
+    # NaN fails every comparison, so a guard written as value > bound let
+    # it through: eigendecompose returned nan eigenvalues
+    with pytest.raises(ValueError, match=r"^grid is not finite: peak modulus nan$"):
+        call(_grid_with_a_nan_pair())
 
 
 def test_eigendecompose_rejects_an_off_centre_window():
