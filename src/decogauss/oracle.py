@@ -13,12 +13,12 @@ integrate_master_equation).  The damping coefficient in tau units is
 3*lam/2.
 
 eigendecompose_kernel solves the kernel's two reflection-parity blocks as
-real symmetric matrices: it requires a Hermitian, reflection-symmetric
-kernel that is real up to a diagonal phase read from the grid, with every
-leftover above 1e-10 * max(1, peak) raised as ValueError, and the dropped
-imaginary part moves eigenvalues only at second order (see its docstring).
-integrate_master_equation, extract_gaussian_coefficients and
-eigendecompose_kernel reject a grid holding NaN or inf by name.
+real symmetric matrices.  It requires the kernel to be Hermitian, reflection
+symmetric and real up to a diagonal phase read from the grid, each to within
+1e-10 * max(1, peak), and raises ValueError otherwise; the imaginary
+remainder it drops moves eigenvalues only at second order (see its
+docstring).  integrate_master_equation, extract_gaussian_coefficients and
+eigendecompose_kernel raise ValueError on a grid holding NaN or inf.
 
 Exercised only at O(1) dimensionless parameters: the macroscopic regime
 spans ~150 decades of coefficient magnitude and is not grid-representable;
@@ -280,14 +280,14 @@ def _centre_chained_phase(even: np.ndarray) -> np.ndarray:
     mags = np.triu(np.abs(even), 1)
     index = np.arange(k)
     nearest = np.argmax(mags, axis=1)
-    modulus = mags[index, nearest]
-    ratio = np.divide(even[index, nearest], modulus, out=np.ones(k, complex), where=modulus > 0.0)
     # a row with no nonzero entry toward the centre links to its neighbour
-    nearest = np.where(modulus > 0.0, nearest, np.minimum(index + 1, k - 1)).tolist()
-    ratio = ratio.tolist()
+    nearest = np.where(mags[index, nearest] > 0.0, nearest, np.minimum(index + 1, k - 1))
+    # the angle, not entry / |entry|, which overflows for a subnormal entry
+    unit = np.exp(1j * np.angle(even[index, nearest])).tolist()
+    nearest = nearest.tolist()
     chain = [1.0 + 0.0j] * k
     for i in range(k - 2, -1, -1):
-        chain[i] = chain[nearest[i]] * ratio[i]
+        chain[i] = chain[nearest[i]] * unit[i]
     phase = np.array(chain)
     return phase / np.abs(phase)
 
@@ -320,14 +320,14 @@ def eigendecompose_kernel(grid: GridState, count: int):
     never from B, by chaining phases outward from the grid point nearest
     x = 0 (see _centre_chained_phase), and the odd block shares it.  A
     leftover imaginary part above 1e-10 * max(1, peak) in either block
-    raises ValueError.  The
-    rotation P^* block P is an exact unitary similarity, and the leftover
-    part of a Hermitian block is i K with K real antisymmetric, so u^T K u
-    = 0 for every real u and dropping it moves an eigenvalue only at second
-    order, by at most |K|^2 / gap (Golub & Van Loan, Matrix Computations,
-    4th ed., sec. 8.1).  Each real half-size block gets its own LAPACK
-    eigh; the spectra merge in descending order, and a sector vector u
-    lifts to P [u/sqrt(2), (u_centre), +-reversed(u)/sqrt(2)], so
+    raises ValueError.  The rotation P^* block P is an exact unitary
+    similarity, and the leftover part of a Hermitian block is i K with K
+    real antisymmetric, so u^T K u = 0 for every real u and dropping it
+    moves an eigenvalue only at second order, by at most |K|^2 / gap (Golub
+    & Van Loan, Matrix Computations, 4th ed., sec. 8.1).  Each real
+    half-size block gets its own LAPACK eigh; the spectra merge in
+    descending order, and a sector vector u lifts to
+    P [u/sqrt(2), (u_centre), +-reversed(u)/sqrt(2)], so
     eigenvector k of a Gaussian ladder has parity (-1)^k.
     """
     if not (1 <= count <= 32):
