@@ -86,8 +86,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    state = GaussianDensityMatrix(args.A, args.B, args.C)
-    summary = spectral_summary(state)
+    with scenarios._naming(args, "--A", "--B", "--C"):
+        state = GaussianDensityMatrix(args.A, args.B, args.C)
+        summary = spectral_summary(state)
     payload = {
         "mean_excitation": summary.mean_excitation,
         "entropy_nats": summary.entropy_nats,

@@ -48,16 +48,6 @@ class ObservationOperator:
         """Fixed by unit trace."""
         return 2.0 * math.sqrt(self.gamma / math.pi)
 
-    def kernel(self, x, xp):
-        """Operator kernel values; arguments broadcast."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        y = x - xp
-        zc = x + xp - 2.0 * self.center
-        return self.norm * np.exp(-(self.alpha * y * y + self.gamma * zc * zc))
-
 
 def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     """tr(A_k rho), the closed 2-D Gaussian integral of the product kernel;

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -248,48 +249,51 @@ class ScenarioEvolution:
     state_si: GaussianDensityMatrix  # 1/m^2
 
 
+@contextmanager
+def _naming(source, *names: str):
+    """Re-raise the block's ValueError as "name = value[, ...]: message",
+    reading the values only then: a flag "--X" from parsed arguments, or a
+    key "section.key", or each set key of a bare "section", from a Scenario
+    through _KEYS, in table order."""
+    try:
+        yield
+    except ValueError as exc:
+        pairs = [f"{name} = {getattr(source, name[2:])!r}" for name in names if name.startswith("--")]
+        for section, key, field, _ in _KEYS:
+            if section in names or f"{section}.{key}" in names:
+                value = getattr(source if section == "scenario" else getattr(source, section), field, None)
+                if value is not None:
+                    pairs.append(f"{section}.{key} = {value!r}")
+        raise ValueError(", ".join(pairs) + f": {exc}") from None
+
+
 def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
     """Environment -> localization rate -> lam -> cubic -> state at the
-    evolution time, converted once from SI into Planck units and once back."""
+    evolution time, converted once from SI into Planck units and once back.
+    Each stage's ValueError names the config keys the stage reads."""
     particle = scenario.particle
-    env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle)
-    loc_rate = big_lambda(env)
-    lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
-
+    env_keys = ("environment",) if scenario.air is None else ("particle.radius_m", "air")
+    with _naming(scenario, *env_keys):
+        env = scenario.environment if scenario.air is None else air_environment(scenario.air, particle)
+    with _naming(scenario, *env_keys, "particle.mass_kg"):
+        loc_rate = big_lambda(env)
+        lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
+        if not math.isfinite(lam_si):
+            raise ValueError(f"lambda must be finite, got {lam_si!r}")
     lam_planck = lam_si * _AREA * _AREA
-    tau_si = tau_from_time(scenario.evolution_time_s, particle)
-    tau_planck = tau_si / _AREA
     dx_planck = scenario.initial_dx_m / PLANCK_LENGTH
-    try:
+    # a width far from the Planck scale overflows or underflows 1/(8 dx^2)
+    with _naming(scenario, "scenario.initial_dx_m"):
         cubic = cubic_from_initial(minimum_uncertainty_initial(dx_planck * dx_planck), lam_planck)
-    except ValueError as exc:
-        if not math.isfinite(lam_planck):
-            raise
-        # a width far from the Planck scale overflows or underflows 1/(8 dx^2)
-        raise ValueError(
-            f"scenario.initial_dx_m = {scenario.initial_dx_m!r} gives a state that is not representable"
-            f" in Planck units: {exc}"
-        ) from None
-    try:
+    # X(tau) ~ tau^2/(4 dx^2), tau = hbar*t/m, leaves the range, or the state does on its way to SI
+    with _naming(scenario, "scenario.initial_dx_m", "scenario.evolution_time_s", "particle.mass_kg"):
+        tau_si = tau_from_time(scenario.evolution_time_s, particle)
+        tau_planck = tau_si / _AREA
         state = evolve(cubic, tau_planck)
         state_si = GaussianDensityMatrix(state.a_coeff / _AREA, state.b_coeff / _AREA, state.c_coeff / _AREA)
-    except ValueError as exc:
-        if not math.isfinite(tau_planck):
-            raise
-        # the spreading X(tau) ~ tau^2/(4 dx^2), with tau = hbar*t/m, leaves
-        # the range, or the state does on its way to SI
-        raise ValueError(
-            f"scenario.evolution_time_s = {scenario.evolution_time_s!r} and particle.mass_kg = "
-            f"{particle.mass!r} give a rescaled time at which scenario.initial_dx_m = "
-            f"{scenario.initial_dx_m!r} gives a state that is not representable in SI or Planck"
-            f" units: {exc}"
-        ) from None
-    if tau_planck == 0.0:
-        # evolution_time_s is positive, so only an underflow of hbar*t/m gets here
-        raise ValueError(
-            f"scenario.evolution_time_s = {scenario.evolution_time_s!r} and particle.mass_kg = "
-            f"{particle.mass!r} give a rescaled time hbar*t/m that underflows to 0"
-        )
+    if tau_planck == 0.0:  # evolution_time_s is positive, so hbar*t/m underflowed
+        with _naming(scenario, "scenario.evolution_time_s", "particle.mass_kg"):
+            raise ValueError("rescaled time hbar*t/m underflows to 0")
     return ScenarioEvolution(scenario, env, loc_rate, lam_si, cubic, tau_si, tau_planck, state, state_si)
 
 
@@ -304,13 +308,16 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
         times = scenario.sample_times_s
     else:
         times = [scenario.evolution_time_s * k / samples for k in range(samples + 1)]
+    with _naming(scenario, "scenario.initial_dx_m", "scenario.evolution_time_s", "particle.mass_kg",
+                 "scenario.sample_times_s"):
+        trajectory = _trajectory_rows(evolution, times)
     discrepancies = ()
     if scenario.name == "baseball" and scenario.air is not None:
         discrepancies = _discrepancy_ledger({row.name: row.value for row in scalars})
     return Report(
         scenario_name=scenario.name,
         scalars=scalars,
-        trajectory=_trajectory_rows(evolution, times),
+        trajectory=trajectory,
         discrepancies=discrepancies,
         profile=profile_rows(evolution),
     )
@@ -403,10 +410,8 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     if scenario.speed_m_s is not None:
         kinetic_energy = 0.5 * particle.mass * (scenario.speed_m_s * scenario.speed_m_s)
         if kinetic_energy == 0.0:
-            raise ValueError(
-                f"scenario.speed_m_s = {scenario.speed_m_s!r} and particle.mass_kg = {particle.mass!r}"
-                " give a kinetic energy m*v^2/2 that underflows to 0"
-            )
+            with _naming(scenario, "scenario.speed_m_s", "particle.mass_kg"):
+                raise ValueError("kinetic energy m*v^2/2 underflows to 0")
         averaging_time = H / kinetic_energy
         add("averaging_time_s", averaging_time, "s")
         add("averaging_time_over_flight_time", averaging_time / t_end, "1")
@@ -414,7 +419,8 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     add("averaged_A_significand", _significand(averaged.a_coeff), "1")
     add("averaged_C_per_m2", averaged.c_coeff, "1/m^2")
     if lam_si > 0.0:
-        growth = _excitation(evolve(cubic, tau_planck * math.e))[1] - entropy
+        with _naming(scenario, "scenario.initial_dx_m", "scenario.evolution_time_s", "particle.mass_kg"):
+            growth = _excitation(evolve(cubic, tau_planck * math.e))[1] - entropy
         add("entropy_growth_coefficient", growth, "1")
     return tuple(rows)
 

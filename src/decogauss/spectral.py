@@ -99,6 +99,8 @@ def captured_mass(n_mean: float, n_max: int) -> float:
     """Sum of p_0..p_n_max = 1 - (N/(N+1))^(n_max+1), via expm1."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not (math.isfinite(n_mean) and n_mean >= 0.0):
+        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
     if n_mean == 0.0:
         return 1.0
     log_ratio = -math.log1p(1.0 / n_mean)  # ln(N/(N+1)) < 0

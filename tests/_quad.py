@@ -21,6 +21,15 @@ def state_half_width(state, sigmas=8.5):
     return 0.5 * sigmas * (s_y + s_z)
 
 
+def operator_kernel(op, x, xp):
+    """Kernel values of the ObservationOperator ``op``; arguments broadcast."""
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    y = x - xp
+    zc = x + xp - 2.0 * op.center
+    return op.norm * np.exp(-(op.alpha * y * y + op.gamma * zc * zc))
+
+
 def quad_trace(state, n=3001, sigmas=8.5):
     xs = np.linspace(-state_half_width(state, sigmas), state_half_width(state, sigmas), n)
     h = xs[1] - xs[0]
@@ -60,7 +69,7 @@ def quad_measure(op, state, xs=None):
     h = xs[1] - xs[0]
     x = xs[:, None]
     xp = xs[None, :]
-    product = op.kernel(x, xp) * state.kernel(xp, x)
+    product = operator_kernel(op, x, xp) * state.kernel(xp, x)
     total = complex(np.sum(product) * h * h)
     if abs(total.real) < 1e-6 * float(np.sum(np.abs(product)) * h * h):
         total = _contour_measure(op, state)
@@ -101,7 +110,7 @@ def quad_mixture_measure(op, weights, states, xs=None):
     x = xs[:, None]
     xp = xs[None, :]
     mix = sum(w * s.kernel(xp, x) for w, s in zip(weights, states))
-    total = complex(np.sum(op.kernel(x, xp) * mix) * h * h)
+    total = complex(np.sum(operator_kernel(op, x, xp) * mix) * h * h)
     return float(total.real)
 
 

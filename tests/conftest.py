@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import hypothesis.strategies as st
 
 from decogauss.evolution import GaussianDensityMatrix
+
+# the environment of every test subprocess: src/ leads PYTHONPATH, so a child
+# imports this checkout's package whether or not one is installed
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 @st.composite

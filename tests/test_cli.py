@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SUBPROCESS_ENV
 from decogauss import oracle
 from decogauss.cli import main
-from decogauss.scenarios import baseball_scenario, dump_scenario
+from decogauss.scenarios import _KEYS, baseball_scenario, dump_scenario
 from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,6 +25,7 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "decogauss", *args],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
         **kwargs,
     )
 
@@ -165,8 +169,19 @@ def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("via", ["in_process", "cli"])
 @pytest.mark.parametrize("command", ["run", "measure"])
-@pytest.mark.parametrize("dx", ["1e200", "1e-156"])
-def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, command, via, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "dx, line",
+    [
+        ("1e200", "scenario.initial_dx_m = 1e+200: dx0_squared must be positive, got inf"),
+        (
+            "1e-156",
+            "scenario.initial_dx_m = 1e-156, scenario.evolution_time_s = 6.446748185397342,"
+            " particle.mass_kg = 0.1459553: a_coeff must be finite",
+        ),
+    ],
+    ids=["1e200", "1e-156"],
+)
+def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, line, command, via, tmp_path, capsys):
     """1e200 m overflowed into a traceback and 1e-156 m was blamed on
     a_coeff, a field the config does not have."""
     config = tmp_path / "dx.ini"
@@ -179,8 +194,7 @@ def test_unrepresentable_initial_dx_exits_3_naming_the_key(dx, command, via, tmp
         code, err = result.returncode, result.stderr
     else:
         code, err = main([command, "--config", str(config)]), capsys.readouterr().err
-    assert code == 3
-    assert f"scenario.initial_dx_m = {float(dx)!r} gives a state that is not representable" in err
+    assert (code, err) == (3, f"validation error: {line}\n")
 
 
 @pytest.mark.parametrize(
@@ -219,8 +233,10 @@ def test_underflowing_rescaled_time_exits_3_naming_both_keys(tmp_path):
     )
     result = run_cli("run", "--config", str(config))
     assert result.returncode == 3
-    assert "scenario.evolution_time_s = 1e-200 and particle.mass_kg = 1e+200" in result.stderr
-    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        "validation error: scenario.evolution_time_s = 1e-200, particle.mass_kg = 1e+200:"
+        " rescaled time hbar*t/m underflows to 0\n"
+    )
 
 
 def test_overflowing_evolved_state_exits_3_naming_all_three_keys(tmp_path, capsys):
@@ -231,9 +247,38 @@ def test_overflowing_evolved_state_exits_3_naming_all_three_keys(tmp_path, capsy
         dump_scenario(baseball_scenario()).replace("mass_kg = 0.1459553", "mass_kg = 1e-200")
     )
     assert main(["run", "--config", str(config)]) == 3
-    err = capsys.readouterr().err
-    assert "scenario.evolution_time_s = 6.446748185397342 and particle.mass_kg = 1e-200" in err
-    assert "scenario.initial_dx_m = 8.081275e-36 gives a state that is not representable" in err
+    assert capsys.readouterr().err == (
+        "validation error: scenario.initial_dx_m = 8.081275e-36, scenario.evolution_time_s = 6.446748185397342,"
+        " particle.mass_kg = 1e-200: a_coeff must be finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        (
+            "mass_kg = 0.1459553",
+            "mass_kg = 1e270",
+            "particle.mass_kg = 1e+270, particle.radius_m = 0.0369, air.molecular_mass_kg = 4.80965e-26,"
+            " air.mass_density_kg_m3 = 1.225, air.temperature_K = 288.15: lambda must be finite, got inf",
+        ),
+        (
+            "\n\n[particle]",
+            "\nsample_times_s = 0.0, 1e300\n\n[particle]",
+            "scenario.initial_dx_m = 8.081275e-36, scenario.evolution_time_s = 6.446748185397342,"
+            " scenario.sample_times_s = (0.0, 1e+300), particle.mass_kg = 0.1459553:"
+            " tau must be nonnegative and finite, got inf",
+        ),
+    ],
+    ids=["lambda", "trajectory"],
+)
+def test_later_stages_exit_3_naming_their_keys(old, new, line, tmp_path, capsys):
+    """An overflowing lambda was blamed on the cubic, and a sample time
+    past the range named nothing."""
+    config = tmp_path / "stage.ini"
+    config.write_text(dump_scenario(baseball_scenario()).replace(old, new))
+    assert main(["run", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == f"validation error: {line}\n"
 
 
 def _log_uniform(low, high):
@@ -279,6 +324,17 @@ def extreme_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+NAMES_A_KEY = re.compile("|".join(re.escape(f"{section}.{key} = ") for section, key, _, _ in _KEYS))
+
+
+def main_with_stderr(argv):
+    """main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=extreme_configs())
 def test_every_loadable_config_reports_or_exits_3(text, tmp_path_factory):
@@ -286,7 +342,21 @@ def test_every_loadable_config_reports_or_exits_3(text, tmp_path_factory):
     config = folder / "scenario.ini"
     config.write_text(text)
     for command in ("run", "measure"):
-        assert main([command, "--config", str(config), "--output", str(folder / "report.txt")]) in (0, 3)
+        code, err = main_with_stderr([command, "--config", str(config), "--output", str(folder / "report.txt")])
+        assert code in (0, 3)
+        if code == 3:
+            assert err and all(NAMES_A_KEY.search(line) for line in err.splitlines()), err
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+def test_spectrum_reports_or_exits_3_naming_its_flags(coefficients, tmp_path_factory):
+    output = tmp_path_factory.mktemp("spectrum") / "summary.txt"
+    flags = [f"--{flag}={value!r}" for flag, value in zip("ABC", coefficients)]
+    code, err = main_with_stderr(["spectrum", *flags, "--output", str(output)])
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("validation error: --A = ") and err.count("\n") == 1, err
 
 
 EXTREME = dump_scenario(baseball_scenario()).replace("name = baseball", "name = extreme") + (
@@ -300,20 +370,28 @@ POWER_CASES = {
     "wavenumber_squared": (
         (GOLDEN / "environment.ini").read_text(),
         {"rms_wavenumber_per_m": "1e160"},
-        "localization rate must be nonnegative, got inf",
-        "localization rate must be nonnegative, got inf",
+        *[
+            "particle.mass_kg = 1e-14, environment.number_density_per_m3 = 2.5e+25,"
+            " environment.cross_section_m2 = 3e-12, environment.relative_velocity_m_s = 500.0,"
+            " environment.rms_wavenumber_per_m = 1e+160: localization rate must be nonnegative, got inf"
+        ] * 2,
     ),
     "air_wavenumber_squared": (
         EXTREME,
         {"molecular_mass_kg": "1e300"},
-        "localization rate must be nonnegative, got nan",
-        "localization rate must be nonnegative, got nan",
+        *[
+            "particle.mass_kg = 0.1459553, particle.radius_m = 0.0369, air.molecular_mass_kg = 1e+300,"
+            " air.mass_density_kg_m3 = 1.225, air.temperature_K = 288.15:"
+            " localization rate must be nonnegative, got nan"
+        ] * 2,
     ),
     "radius_squared": (
         EXTREME,
         {"radius_m": "1e200"},
-        "cross_section must be positive and finite, got inf",
-        "cross_section must be positive and finite, got inf",
+        *[
+            "particle.radius_m = 1e+200, air.molecular_mass_kg = 4.80965e-26, air.mass_density_kg_m3 = 1.225,"
+            " air.temperature_K = 288.15: cross_section must be positive and finite, got inf"
+        ] * 2,
     ),
     "center_squared": (EXTREME, {"centers_m": "1e200"}, None, None),
     "speed_squared": (EXTREME, {"speed_m_s": "1e200"}, None, None),
@@ -326,8 +404,7 @@ POWER_CASES = {
     "kinetic_energy_underflow": (
         EXTREME,
         {"speed_m_s": "1e-200"},
-        "scenario.speed_m_s = 1e-200 and particle.mass_kg = 0.1459553 give a kinetic energy"
-        " m*v^2/2 that underflows to 0",
+        "scenario.speed_m_s = 1e-200, particle.mass_kg = 0.1459553: kinetic energy m*v^2/2 underflows to 0",
         None,
     ),
     "measure_denominator_underflow": (
@@ -355,7 +432,10 @@ def test_extreme_power_or_product_reports_or_exits_3(case, command, tmp_path, ca
 
 def test_spectrum_overflow_says_finite_and_nonnegative(capsys):
     assert main(["spectrum", "--A=1e308", "--B=1e308", "--C=1e-308"]) == 3
-    assert "validation error: mean excitation must be finite and nonnegative, got inf\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "validation error: --A = 1e+308, --B = 1e+308, --C = 1e-308:"
+        " mean excitation must be finite and nonnegative, got inf\n"
+    )
 
 
 @pytest.mark.parametrize("bad", ["-1", "nan", "1e400", "0", "1e-300"])
@@ -463,7 +543,7 @@ sys.exit(main(sys.argv[1:]))
 
 def run_cli_without_numpy(*args):
     return subprocess.run(
-        [sys.executable, "-c", BLOCK_NUMPY, *args], capture_output=True
+        [sys.executable, "-c", BLOCK_NUMPY, *args], capture_output=True, env=SUBPROCESS_ENV
     )
 
 
@@ -472,7 +552,7 @@ def test_import_loads_no_numpy():
         "import sys, decogauss, decogauss.cli; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 

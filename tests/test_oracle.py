@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import SUBPROCESS_ENV
 from decogauss.evolution import (
     GaussianDensityMatrix,
     cubic_from_initial,
@@ -409,6 +410,6 @@ def test_eigendecompose_imports_no_scipy():
         "eigendecompose_kernel(grid, 8)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

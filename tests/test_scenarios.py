@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from _sweep import random_config, sweep
+from conftest import SUBPROCESS_ENV
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -356,7 +356,7 @@ def test_missing_environment_key_does_not_depend_on_hash_seed():
             input=text,
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONHASHSEED": seed},
+            env={**SUBPROCESS_ENV, "PYTHONHASHSEED": seed},
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "missing required config key: environment.number_density_per_m3\n", (

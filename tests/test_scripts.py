@@ -1,17 +1,17 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import SUBPROCESS_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
-        env=env,
+        env=SUBPROCESS_ENV,
         check=False,
     )
 

@@ -84,8 +84,13 @@ def test_eigenvalue_rejects_bad_arguments():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda n: eigenvalue(n, 0), von_neumann_entropy, lambda n: truncation_index(n, 0.5)],
-    ids=["eigenvalue", "von_neumann_entropy", "truncation_index"],
+    [
+        lambda n: eigenvalue(n, 0),
+        von_neumann_entropy,
+        lambda n: truncation_index(n, 0.5),
+        lambda n: captured_mass(n, 3),
+    ],
+    ids=["eigenvalue", "von_neumann_entropy", "truncation_index", "captured_mass"],
 )
 @pytest.mark.parametrize("n_mean", [math.inf, math.nan, -1.0])
 def test_bad_mean_excitation_message(call, n_mean):
