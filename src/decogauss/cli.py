@@ -53,8 +53,14 @@ def _load_config(path: str) -> scenarios.Scenario:
     return scenarios.load_scenario(text)
 
 
+def _samples(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_report(scenario: scenarios.Scenario, args) -> int:
-    report = scenarios.run(scenario, samples=args.samples)
+    report = scenarios.run(scenario, samples=_samples(args))
     _write_output(scenarios.emit(report, args.format), args.output)
     failures = scenarios.tolerance_failures(report, args.tolerance_profile)
     if failures:
@@ -113,12 +119,11 @@ def _cmd_oracle_check(args) -> int:
 
     from . import oracle
 
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    samples = _samples(args)
     rng = np.random.default_rng(20210830)
     tolerance = 1e-3
     worst = 0.0
-    for index in range(args.samples):
+    for index in range(samples):
         dx0_sq = float(rng.uniform(0.3, 1.0))
         lam = float(rng.uniform(0.3, 1.2))
         tau_end = float(rng.uniform(0.15, 0.25))

@@ -72,18 +72,40 @@ class GaussianDensityMatrix:
         return math.sqrt(4.0 * self.c_coeff / math.pi)
 
     def kernel(self, x, xp):
-        """Complex kernel values rho(x, x'); arguments broadcast."""
+        """Complex kernel values rho(x, x'); arguments broadcast.
+
+        Evaluates norm * exp(-(A y y + C z z)) * phase in that operation
+        order, in place: y and z live in the result's own memory, viewed
+        as two float arrays, until the phase overwrites it, so a grid costs
+        one float array beside the result."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        y = x - xp
-        z = x + xp
-        real = self.a_coeff * y * y + self.c_coeff * z * z
+        shape = np.broadcast_shapes(x.shape, xp.shape)
+        out = np.empty(shape, dtype=complex)
+        scratch = out.reshape(-1).view(float).reshape((2, *shape))
+        y_or_z, czz = scratch[0, ...], scratch[1, ...]
+        real = np.empty(shape)
+        np.subtract(x, xp, out=y_or_z)
+        np.multiply(self.a_coeff, y_or_z, out=real)
+        real *= y_or_z
+        np.add(x, xp, out=y_or_z)
+        np.multiply(self.c_coeff, y_or_z, out=czz)
+        czz *= y_or_z
+        real += czz
+        np.negative(real, out=real)
+        np.exp(real, out=real)
+        real *= self.norm
         # y z = x^2 - x'^2, so the phase separates into one factor per
         # argument: on a grid that is two length-n complex exps, not n^2
-        phase = np.exp(-1j * self.b_coeff * x * x) * np.exp(1j * self.b_coeff * xp * xp)
-        return self.norm * np.exp(-real) * phase
+        phase_x, phase_xp = np.exp(-1j * self.b_coeff * x * x), np.exp(1j * self.b_coeff * xp * xp)
+        if shape:
+            np.multiply(phase_x, phase_xp, out=out)
+        else:  # numpy's scalar complex product rounds apart from its array loop
+            out[()] = phase_x * phase_xp
+        np.multiply(real, out, out=out)
+        return out[()]
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def air_environment(air: AirModel, particle: FreeParticle) -> ScatteringEnvironm
 def lambda_coefficient(localization_rate: float, particle: FreeParticle) -> float:
     """2*Lambda*m/(3*hbar), in 1/m^4.  Zero rate means free evolution."""
     if not (math.isfinite(localization_rate) and localization_rate >= 0.0):
-        raise ValueError(f"localization rate must be nonnegative, got {localization_rate!r}")
+        raise ValueError(f"localization rate must be nonnegative and finite, got {localization_rate!r}")
     return 2.0 * localization_rate * particle.mass / (3.0 * HBAR)
 
 

@@ -45,11 +45,43 @@ __all__ = [
 ]
 
 
+#: Rows per block of the guards' reductions: at n = 512 a complex block is
+#: 512 KB, so no guard builds a temporary the size of the grid.
+_ROW_BLOCK = 64
+
+
+def _max_abs(block, rows: int) -> float:
+    """max |block(s)| over the row slices s of range(rows), one fixed block
+    at a time.  np.max combines the block maxima, so a NaN in any block
+    propagates, as the builtin max would not."""
+    return float(np.max([
+        np.max(np.abs(block(slice(start, min(start + _ROW_BLOCK, rows)))))
+        for start in range(0, rows, _ROW_BLOCK)
+    ]))
+
+
+def _peak_modulus(values: np.ndarray) -> float:
+    """max |rho|, which is NaN or inf when any value is."""
+    return _max_abs(lambda s: values[s], len(values))
+
+
 def _hermiticity_error(values: np.ndarray) -> float:
-    """max |rho - rho^H|.  The adjoint is written out contiguously once, so
-    the subtraction does not read a transposed view column by column."""
-    adjoint = np.conjugate(values.T, order="C")
-    return float(np.max(np.abs(np.subtract(values, adjoint, out=adjoint))))
+    """max |rho - rho^H|.  Each block's adjoint rows are written out
+    contiguously, so the subtraction does not read a transposed view
+    column by column."""
+
+    def deviation(s):
+        adjoint = np.conjugate(values[:, s].T, order="C")
+        return np.subtract(values[s], adjoint, out=adjoint)
+
+    return _max_abs(deviation, len(values))
+
+
+def _reflection_error(values: np.ndarray) -> float:
+    """max |rho - J rho J| for the grid reflection J: x_i <-> x_{n-1-i}.
+    rho - J rho J is odd under J, so its top (n + 1) // 2 rows hold the
+    maximum."""
+    return _max_abs(lambda s: values[s] - values[::-1, ::-1][s], (len(values) + 1) // 2)
 
 
 def _finite_peak(peak: float) -> float:
@@ -104,10 +136,17 @@ class GridState:
         """
         n, h = self.n_points, self.spacing
         k = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        # wrapped[i, o] = Re rho[i, (i + o) mod n]
-        flat = np.concatenate([self.values.real] * 2, axis=1).ravel()
-        wrapped = sliding_window_view(flat, n)[:: 2 * n + 1]
-        return float(h * ((k * k) @ np.fft.fft(wrapped.sum(axis=0)).real) / n)
+        # w[o] = sum_i Re rho[i, (i + o) mod n], added row after row in the
+        # order of one sum over a whole wrapped grid, one block of rows at a
+        # time: stack[0] carries the running sum above the block's rows
+        stack = np.zeros((_ROW_BLOCK + 1, n))
+        for start in range(0, n, _ROW_BLOCK):
+            rows = min(_ROW_BLOCK, n - start)
+            # doubled row r holds Re rho[start + r, (start + r + o) mod n] at start + r + o
+            doubled = np.concatenate([self.values[start : start + rows].real] * 2, axis=1)
+            stack[1 : rows + 1] = sliding_window_view(doubled.ravel(), n)[start :: 2 * n + 1][:rows]
+            stack[0] = stack[: rows + 1].sum(axis=0)
+        return float(h * ((k * k) @ np.fft.fft(stack[0]).real) / n)
 
 
 def discretize(
@@ -155,23 +194,33 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
         raise ValueError(f"tau_end must be nonnegative, got {tau_end!r}")
 
     h = tau_end
-    xs = grid.xs
-    damp = np.exp(-1.5 * lam * h * (xs[:, None] - xs[None, :]) ** 2)
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+    n = grid.n_points
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
     phase_k = np.exp(0.25j * h * k * k)
-    half = phase_k.conj()[:, None] * phase_k[None, :]
-    corrected = half * np.exp(-0.125 * lam * h**3 * (k[:, None] + k[None, :]) ** 2)
+    # the factors are built in place: flight holds the corrected flight and
+    # later the half flight, real the correction and later the damping
+    flight = np.multiply(phase_k.conj()[:, None], phase_k)
+    real = np.add(k[:, None], k[None, :])
+    np.square(real, out=real)
+    real *= -0.125 * lam * h**3
+    np.exp(real, out=real)
+    flight *= real
 
     # in place on the integrator's own copy; ifftn, because numpy 2's
     # ifft2 drops its out= argument
     rho = grid.values.astype(np.complex128, copy=True)
-    initial_peak = _finite_peak(float(np.max(np.abs(rho))))
+    initial_peak = _finite_peak(_peak_modulus(rho))
     rho = np.fft.fftn(rho, out=rho)
-    rho *= corrected
-    del corrected  # free before the Hermiticity guard allocates its adjoint
+    rho *= flight
     rho = np.fft.ifftn(rho, out=rho)
-    rho *= damp
-    peak = float(np.max(np.abs(rho)))
+    xs = grid.xs
+    np.subtract(xs[:, None], xs[None, :], out=real)
+    np.square(real, out=real)
+    real *= -1.5 * lam * h
+    np.exp(real, out=real)
+    rho *= real
+    del real
+    peak = _peak_modulus(rho)
     if not peak <= 10.0 * initial_peak:
         raise ValueError(
             f"instability detected: sup norm grew from {initial_peak:.3e} to {peak:.3e}"
@@ -180,7 +229,8 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     if not herm <= 1e-10 * max(1.0, initial_peak):
         raise ValueError(f"Hermiticity drifted to {herm:.3e}")
     rho = np.fft.fftn(rho, out=rho)
-    rho *= half
+    np.multiply(phase_k.conj()[:, None], phase_k, out=flight)
+    rho *= flight
     rho = np.fft.ifftn(rho, out=rho)
     return GridState(grid.x_min, grid.x_max, rho)
 
@@ -210,19 +260,52 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     window do not alias the fit.  Residuals above FIT_RESIDUAL_THRESHOLD raise
     ValueError (deliberately non-Gaussian input).
     """
-    v = grid.values
+    v, n = grid.values, grid.n_points
     mags = np.abs(v)
     peak = _finite_peak(float(mags.max()))
     if peak <= 0.0:
         raise ValueError("kernel is identically zero")
-    mask = mags >= FIT_WINDOW_FLOOR * peak
-    xs = grid.xs
-    y = (xs[:, None] - xs[None, :])[mask]
-    z = (xs[:, None] + xs[None, :])[mask]
-    w = (mags[mask] / peak).astype(float)
-
+    # the window as flat indices into the grid, in row-major order, so no
+    # n x n array beyond mags is built and each window array is freed once read
+    window = np.flatnonzero(mags >= FIT_WINDOW_FLOOR * peak)
+    mag_window = mags.ravel()[window]
+    del mags
+    # the peak is the window's first largest entry, as it is the grid's
+    ic, jc = divmod(int(window[np.argmax(mag_window)]), n)
+    w = mag_window / peak
     # magnitude part: -ln|v| = A y^2 + C z^2 + Re D
-    data_r = -np.log(mags[mask])
+    data_r = -np.log(mag_window)
+    del mag_window
+
+    # phase part: arg v = -B y z; seed B from the mixed stencil at the peak
+    if 1 <= ic < n - 1 and 1 <= jc < n - 1:
+        up, left, right, down = np.angle(
+            v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]]
+        )
+        b_seed = -(up - left - right + down) / (4.0 * grid.spacing**2)
+    else:
+        b_seed = 0.0
+    xs = grid.xs
+    # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n
+    # complex exps instead of one per window point, multiplied together
+    # before they meet v
+    seed_phase = np.exp(1j * b_seed * xs * xs)
+    rows, cols = np.divmod(window, n)
+    rewrap = seed_phase[rows]
+    rewrap *= seed_phase.conj()[cols]
+    rewrap = np.angle(np.multiply(v.ravel()[window], rewrap, out=rewrap))
+    del window
+    y = xs[rows] - xs[cols]
+    z = xs[rows] + xs[cols]
+    del rows, cols
+    yz = y * z
+    unwrapped = np.add(-b_seed * yz, rewrap, out=rewrap)
+    weight_sq = w * w
+    denom = float(np.sum((w * yz) ** 2))
+    b_fit = b_seed if denom == 0.0 else float(np.sum(weight_sq * yz * (-unwrapped)) / denom)
+    imag_misfit = np.add(b_fit * yz, unwrapped, out=unwrapped)
+    del yz
+
     # one row per basis function, so design.T is the Fortran-ordered matrix
     # LAPACK reads, weighted and scaled in place
     design = np.empty((3, len(y)))
@@ -233,33 +316,12 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     design *= w
     design /= scale[:, None]
     coeffs, *_ = np.linalg.lstsq(design.T, w * data_r, rcond=None)
-    del design
+    del design, w
     coeffs = coeffs / scale
     a_fit, c_fit, d_fit = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
-    # phase part: arg v = -B y z; seed B from the mixed stencil at the peak
-    ic, jc = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    if 1 <= ic < grid.n_points - 1 and 1 <= jc < grid.n_points - 1:
-        up, left, right, down = np.angle(
-            v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]]
-        )
-        b_seed = -(up - left - right + down) / (4.0 * grid.spacing**2)
-    else:
-        b_seed = 0.0
-    yz = y * z
-    predicted = -b_seed * yz
-    # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n
-    # complex exps instead of one per window point
-    seed_phase = np.exp(1j * b_seed * xs * xs)
-    rewrap = (seed_phase[:, None] * seed_phase.conj()[None, :])[mask]
-    unwrapped = predicted + np.angle(v[mask] * rewrap)
-    weight_sq = w * w
-    denom = float(np.sum((w * yz) ** 2))
-    b_fit = b_seed if denom == 0.0 else float(np.sum(weight_sq * yz * (-unwrapped)) / denom)
-
     # |model - data|^2 of the complex log fit, in real arithmetic
     real_misfit = a_fit * y * y + c_fit * z * z + d_fit - data_r
-    imag_misfit = b_fit * yz + unwrapped
     residual = math.sqrt(
         float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
     )
@@ -333,13 +395,11 @@ def eigendecompose_kernel(grid: GridState, count: int):
     if not (1 <= count <= 32):
         raise ValueError(f"count must be between 1 and 32, got {count}")
     v, n = grid.values, grid.n_points
-    bound = 1e-10 * max(1.0, _finite_peak(float(np.max(np.abs(v)))))
+    bound = 1e-10 * max(1.0, _finite_peak(_peak_modulus(v)))
     herm = _hermiticity_error(v)
     if not herm <= bound:
         raise ValueError(f"grid is not Hermitian: deviation {herm:.3e}")
-    # v - JvJ is odd under J, so its top (n + 1) // 2 rows hold its maximum
-    rows = (n + 1) // 2
-    asym = float(np.max(np.abs(v[:rows] - v[::-1, ::-1][:rows])))
+    asym = _reflection_error(v)
     if not asym <= bound:
         raise ValueError(f"grid is not reflection symmetric: deviation {asym:.3e}")
 

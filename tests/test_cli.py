@@ -373,7 +373,7 @@ POWER_CASES = {
         *[
             "particle.mass_kg = 1e-14, environment.number_density_per_m3 = 2.5e+25,"
             " environment.cross_section_m2 = 3e-12, environment.relative_velocity_m_s = 500.0,"
-            " environment.rms_wavenumber_per_m = 1e+160: localization rate must be nonnegative, got inf"
+            " environment.rms_wavenumber_per_m = 1e+160: localization rate must be nonnegative and finite, got inf"
         ] * 2,
     ),
     "air_wavenumber_squared": (
@@ -382,7 +382,7 @@ POWER_CASES = {
         *[
             "particle.mass_kg = 0.1459553, particle.radius_m = 0.0369, air.molecular_mass_kg = 1e+300,"
             " air.mass_density_kg_m3 = 1.225, air.temperature_K = 288.15:"
-            " localization rate must be nonnegative, got nan"
+            " localization rate must be nonnegative and finite, got nan"
         ] * 2,
     ),
     "radius_squared": (
@@ -507,6 +507,16 @@ def test_oracle_check_rejects_zero_samples():
     result = run_cli("oracle-check", "--samples", "0")
     assert result.returncode == 3
     assert "--samples" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["baseball"], ["run", "--config", str(GOLDEN / "environment.ini")]], ids=["baseball", "run"]
+)
+def test_report_commands_name_the_samples_flag(argv, capsys):
+    assert main([*argv, "--samples", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: --samples must be at least 1, got 0\n"
 
 
 def test_spectrum_rejects_csv_format():

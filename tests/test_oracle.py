@@ -1,9 +1,11 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import SUBPROCESS_ENV
 from decogauss.evolution import (
@@ -14,8 +16,11 @@ from decogauss.evolution import (
     momentum_variance,
 )
 from decogauss.oracle import (
+    FIT_WINDOW_FLOOR,
     GridState,
     _hermiticity_error,
+    _peak_modulus,
+    _reflection_error,
     discretize,
     eigendecompose_kernel,
     extract_gaussian_coefficients,
@@ -76,12 +81,147 @@ def test_discretize_rejects_non_finite_bounds(x_min, x_max, field):
         discretize(PURE, x_min, x_max, 64)
 
 
-@pytest.mark.parametrize("n", [64, 127, 128])
+GUARD_SIZES = [1, 2, 63, 64, 65, 127, 128, 200, 513]
+
+
+@pytest.mark.parametrize("n", GUARD_SIZES)
 def test_hermiticity_error_is_the_direct_expression(n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     direct = float(np.max(np.abs(values - values.conj().T)))
     assert _hermiticity_error(values) == direct
+
+
+@pytest.mark.parametrize("n", GUARD_SIZES)
+def test_peak_and_reflection_guards_are_the_direct_expressions(n):
+    # the guards reduce over blocks of rows; each must equal its one
+    # expression over the whole grid, at sizes on and off the block size
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert _peak_modulus(values) == float(np.max(np.abs(values)))
+    assert _reflection_error(values) == float(np.max(np.abs(values - values[::-1, ::-1])))
+
+
+# --- the in-place stages against their whole-grid forms ---------------------------
+
+def _one_expression_kernel(state, x, xp):
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    y, z = x - xp, x + xp
+    real = state.a_coeff * y * y + state.c_coeff * z * z
+    phase = np.exp(-1j * state.b_coeff * x * x) * np.exp(1j * state.b_coeff * xp * xp)
+    return state.norm * np.exp(-real) * phase
+
+
+@pytest.mark.parametrize("state", [PURE, MIXED, GaussianDensityMatrix(1.3, 0.4, 0.5)])
+def test_kernel_is_the_one_expression_form(state):
+    xs = np.linspace(-9.0, 11.0, 301)
+    scalars = [tuple(map(float, pair)) for pair in np.random.default_rng(5).uniform(-6.0, 6.0, (40, 2))]
+    cases = [(xs[:, None], xs[None, :]), (xs, xs[::-1]), (xs[:, None], 0.5), (xs, -2), *scalars]
+    for x, xp in cases:
+        got, want = state.kernel(x, xp), _one_expression_kernel(state, x, xp)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_points", [64, 127, 512])
+def test_discretize_is_the_one_expression_kernel(n_points):
+    grid = spanning_grid(MIXED, n_points=n_points)
+    assert np.array_equal(grid.values, _one_expression_kernel(MIXED, grid.xs[:, None], grid.xs[None, :]))
+
+
+def _whole_grid_integration(grid, lam, h):
+    # the corrected Strang step with every factor built as an n x n temporary
+    xs = grid.xs
+    damp = np.exp(-1.5 * lam * h * (xs[:, None] - xs[None, :]) ** 2)
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+    phase_k = np.exp(0.25j * h * k * k)
+    half = phase_k.conj()[:, None] * phase_k[None, :]
+    corrected = half * np.exp(-0.125 * lam * h**3 * (k[:, None] + k[None, :]) ** 2)
+    rho = np.fft.ifftn(np.fft.fftn(grid.values) * corrected) * damp
+    return np.fft.ifftn(np.fft.fftn(rho) * half)
+
+
+def _whole_grid_fit(grid):
+    # the fit with its window masked out of n x n arrays of y, z and rewrap
+    v, xs = grid.values, grid.xs
+    mags = np.abs(v)
+    peak = float(mags.max())
+    mask = mags >= FIT_WINDOW_FLOOR * peak
+    y = (xs[:, None] - xs[None, :])[mask]
+    z = (xs[:, None] + xs[None, :])[mask]
+    w = mags[mask] / peak
+    data_r = -np.log(mags[mask])
+    design = np.empty((3, len(y)))
+    design[0], design[1], design[2] = y * y, z * z, 1.0
+    scale = design.max(axis=1)
+    design = design * w / scale[:, None]
+    coeffs = np.linalg.lstsq(design.T, w * data_r, rcond=None)[0] / scale
+    a_fit, c_fit, d_fit = map(float, coeffs)
+    ic, jc = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    up, left, right, down = np.angle(v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]])
+    b_seed = -(up - left - right + down) / (4.0 * grid.spacing**2)
+    seed_phase = np.exp(1j * b_seed * xs * xs)
+    yz = y * z
+    unwrapped = -b_seed * yz + np.angle(v[mask] * (seed_phase[:, None] * seed_phase.conj()[None, :])[mask])
+    weight_sq = w * w
+    b_fit = float(np.sum(weight_sq * yz * (-unwrapped)) / float(np.sum((w * yz) ** 2)))
+    real_misfit = a_fit * y * y + c_fit * z * z + d_fit - data_r
+    imag_misfit = b_fit * yz + unwrapped
+    residual = math.sqrt(
+        float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
+    )
+    return a_fit, b_fit, c_fit, residual
+
+
+def _whole_grid_momentum_variance(grid):
+    # the wrapped diagonals summed over one n x 2n copy of the grid
+    n, h = grid.n_points, grid.spacing
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+    flat = np.concatenate([grid.values.real] * 2, axis=1).ravel()
+    wrapped = sliding_window_view(flat, n)[:: 2 * n + 1]
+    return float(h * ((k * k) @ np.fft.fft(wrapped.sum(axis=0)).real) / n)
+
+
+@pytest.mark.parametrize("n_points", [160, 193, 256])
+def test_integrate_fit_and_momentum_variance_are_the_whole_grid_forms(n_points):
+    # bit for bit: the in-place factors, the gathered fit window and the
+    # blockwise diagonal sums keep every operation and its order
+    for cubic, tau in _oracle_check_and_chirped_cubics():
+        span = 8.0 * math.sqrt(max(cubic.x_value(0.0), cubic.x_value(tau))) + 0.5
+        grid = discretize(evolve(cubic, 0.0), -span, span, n_points)
+        evolved = integrate_master_equation(grid, cubic.lam, tau)
+        assert np.array_equal(evolved.values, _whole_grid_integration(grid, cubic.lam, tau))
+        for g in (grid, evolved):
+            fit = extract_gaussian_coefficients(g)
+            assert (fit.a_coeff, fit.b_coeff, fit.c_coeff, fit.residual) == _whole_grid_fit(g)
+            assert g.momentum_variance() == _whole_grid_momentum_variance(g)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stages_stay_within_their_memory_budget():
+    # a grid_spectrum state at n = 512 (A/C about 2.6, a third of the grid in
+    # the fit window); peaks count the 4 MB grid.  With n x n temporaries the
+    # stages peaked at 4.0, 2.5, 3.8 and 2.0 grids.
+    state = GaussianDensityMatrix(1.24, 0.2, 0.475)
+    span = 8.0 * math.sqrt(1.0 / (8.0 * state.c_coeff)) + 2.0
+    grid, peak = _traced_peak(lambda: discretize(state, -span, span, 512))
+    size = grid.values.nbytes
+    assert peak <= 2.0 * size
+    for call, budget in [
+        (lambda: eigendecompose_kernel(grid, 12), 2.0),
+        (lambda: extract_gaussian_coefficients(grid), 3.0),
+        (grid.momentum_variance, 1.5),
+    ]:
+        _, peak = _traced_peak(call)
+        assert size + peak <= budget * size
 
 
 # --- integration ------------------------------------------------------------------
@@ -388,6 +528,25 @@ def test_entry_points_reject_a_nan_grid(call):
     # it through: eigendecompose returned nan eigenvalues
     with pytest.raises(ValueError, match=r"^grid is not finite: peak modulus nan$"):
         call(_grid_with_a_nan_pair())
+
+
+@pytest.mark.parametrize("row, col", [(3, 5), (100, 7), (200, 250)])
+def test_one_nan_reaches_every_blockwise_guard(row, col):
+    # the builtin max drops a NaN that is not its first argument, so a NaN
+    # outside the first block of rows would slip past a guard combined with it
+    grid = spanning_grid(MIXED, n_points=256)
+    values = grid.values.copy()
+    values[row, col] = math.nan
+    for guard in (_peak_modulus, _hermiticity_error, _reflection_error):
+        assert math.isnan(guard(values))
+    broken = GridState(grid.x_min, grid.x_max, values)
+    for call in (
+        lambda: integrate_master_equation(broken, 1.0, 0.2),
+        lambda: extract_gaussian_coefficients(broken),
+        lambda: eigendecompose_kernel(broken, 4),
+    ):
+        with pytest.raises(ValueError, match=r"^grid is not finite: peak modulus nan$"):
+            call()
 
 
 def test_eigendecompose_rejects_an_off_centre_window():
