@@ -36,7 +36,6 @@ from .scenarios import (
     Report,
     Scenario,
     baseball_scenario,
-    dump_scenario,
     emit,
     flight_time,
     load_scenario,

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _require_finite, _require_nonnegative, _require_positive
+
 __all__ = [
     "GaussianDensityMatrix",
     "CubicSolution",
@@ -56,11 +58,9 @@ class GaussianDensityMatrix:
     c_coeff: float
 
     def __post_init__(self):
-        for name in ("a_coeff", "b_coeff", "c_coeff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.c_coeff <= 0.0:
-            raise ValueError(f"c_coeff must be positive, got {self.c_coeff!r}")
+        _require_finite("a_coeff", self.a_coeff)
+        _require_finite("b_coeff", self.b_coeff)
+        _require_positive("c_coeff", self.c_coeff)
         if self.a_coeff < self.c_coeff * (1.0 - _REL_SLACK):
             raise ValueError(
                 f"positivity requires a_coeff >= c_coeff, got {self.a_coeff!r} < {self.c_coeff!r}"
@@ -129,13 +129,12 @@ class CubicSolution:
     ratio0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
-        for name in ("a2", "a1", "a0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.a0 <= 0.0 or self.a2 <= 0.0:
-            raise ValueError(f"a0 and a2 must be positive, got {self.a0!r} and {self.a2!r}")
+        _require_nonnegative("lam", self.lam)
+        _require_finite("a2", self.a2)
+        _require_finite("a1", self.a1)
+        _require_finite("a0", self.a0)
+        _require_positive("a0", self.a0)
+        _require_positive("a2", self.a2)
         if not (math.isfinite(self.ratio0) and self.ratio0 >= 1.0 - _REL_SLACK):
             raise ValueError(f"ratio0 must be at least 1, got {self.ratio0!r}")
         product = 4.0 * self.a0 * self.a2
@@ -166,8 +165,7 @@ def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSoluti
 
 def evolve(cubic: CubicSolution, tau: float) -> GaussianDensityMatrix:
     """State at rescaled time tau >= 0 (tau in the cubic's length unit, squared)."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
+    _require_nonnegative("tau", tau)
     x = cubic.x_value(tau)
     if x <= 0.0:
         raise ValueError(f"X(tau) must stay positive, got {x!r} at tau={tau!r}")
@@ -199,8 +197,7 @@ def momentum_variance(cubic: CubicSolution, tau: float) -> float:
 
 def minimum_uncertainty_initial(dx0_squared: float) -> GaussianDensityMatrix:
     """Pure state saturating 4*(dx)^2*(dp/hbar)^2 = 1: A = C = 1/(8 dx0^2), B = 0."""
-    if not (math.isfinite(dx0_squared) and dx0_squared > 0.0):
-        raise ValueError(f"dx0_squared must be positive, got {dx0_squared!r}")
+    _require_positive("dx0_squared", dx0_squared)
     coeff = 1.0 / (8.0 * dx0_squared)
     return GaussianDensityMatrix(coeff, 0.0, coeff)
 

@@ -37,10 +37,21 @@ def _power(base: float, exponent: int) -> float:
         return math.inf
 
 
-def _require_positive(**fields: float) -> None:
-    for name, value in fields.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+# Every float range check of the library.  Positional, not **fields: evolve
+# runs four a call; private, as the benchmark's tracer wraps model.__all__.
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,9 @@ class FreeParticle:
     radius: Optional[float] = None   # m, used only to derive a cross section
 
     def __post_init__(self):
-        _require_positive(mass=self.mass)
+        _require_positive("mass", self.mass)
         if self.radius is not None:
-            _require_positive(radius=self.radius)
+            _require_positive("radius", self.radius)
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,10 @@ class ScatteringEnvironment:
     rms_wavenumber: float           # 1/m
 
     def __post_init__(self):
-        _require_positive(
-            number_density=self.number_density,
-            cross_section=self.cross_section,
-            mean_relative_velocity=self.mean_relative_velocity,
-            rms_wavenumber=self.rms_wavenumber,
-        )
+        _require_positive("number_density", self.number_density)
+        _require_positive("cross_section", self.cross_section)
+        _require_positive("mean_relative_velocity", self.mean_relative_velocity)
+        _require_positive("rms_wavenumber", self.rms_wavenumber)
 
 
 @dataclass(frozen=True)
@@ -77,11 +86,9 @@ class AirModel:
     temperature: float      # K
 
     def __post_init__(self):
-        _require_positive(
-            molecular_mass=self.molecular_mass,
-            mass_density=self.mass_density,
-            temperature=self.temperature,
-        )
+        _require_positive("molecular_mass", self.molecular_mass)
+        _require_positive("mass_density", self.mass_density)
+        _require_positive("temperature", self.temperature)
 
 
 def big_lambda(env: ScatteringEnvironment) -> float:
@@ -115,8 +122,7 @@ def air_environment(air: AirModel, particle: FreeParticle) -> ScatteringEnvironm
 
 def lambda_coefficient(localization_rate: float, particle: FreeParticle) -> float:
     """2*Lambda*m/(3*hbar), in 1/m^4.  Zero rate means free evolution."""
-    if not (math.isfinite(localization_rate) and localization_rate >= 0.0):
-        raise ValueError(f"localization rate must be nonnegative and finite, got {localization_rate!r}")
+    _require_nonnegative("localization rate", localization_rate)
     return 2.0 * localization_rate * particle.mass / (3.0 * HBAR)
 
 
@@ -144,6 +150,5 @@ def lambda_composite_crosscheck(air: AirModel, particle: FreeParticle) -> float:
 
 def tau_from_time(t: float, particle: FreeParticle) -> float:
     """Rescaled time hbar*t/m, dimension m^2.  Forward evolution only."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _require_nonnegative("time", t)
     return HBAR * t / particle.mass

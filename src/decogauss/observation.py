@@ -22,9 +22,11 @@ squared.  The test suite holds this algebra against 2-D quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
+from .model import _require_finite, _require_nonnegative, _require_positive
 
 __all__ = ["ObservationOperator", "measure", "measure_profile"]
 
@@ -36,12 +38,9 @@ class ObservationOperator:
     gamma: float   # 1/length^2, center-coordinate width
 
     def __post_init__(self):
-        if not (math.isfinite(self.center)):
-            raise ValueError("center must be finite")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        _require_finite("center", self.center)
+        _require_nonnegative("alpha", self.alpha)
+        _require_positive("gamma", self.gamma)
 
     @property
     def norm(self) -> float:
@@ -62,7 +61,19 @@ def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     else:
         # (A + alpha) Q underflowed; gamma/Q and C/(A + alpha) are at most 1
         prefactor = 2.0 * math.sqrt(op.gamma / q) * math.sqrt(c / denom_y)
-    exponent = -4.0 * op.gamma * q_minus_gamma * (op.center * op.center) / q
+    factor = -4.0 * op.gamma * q_minus_gamma
+    exponent = factor * (op.center * op.center) / q
+    if not (sys.float_info.min <= -factor < math.inf and exponent > -math.inf):
+        # 4 gamma (Q - gamma) left the normal doubles before meeting center^2
+        # (0 read exponent 0, or nan against an overflowed center^2; inf read
+        # -inf, or nan at center 0), or center^2 overflowed: multiply the
+        # significands, add the exponents
+        parts = map(math.frexp, (op.gamma, q_minus_gamma, op.center, q))
+        (m_g, e_g), (m_r, e_r), (m_x, e_x), (m_q, e_q) = parts
+        try:
+            exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
+        except OverflowError:
+            exponent = -math.inf
     return prefactor * math.exp(exponent)
 
 

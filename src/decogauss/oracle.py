@@ -21,8 +21,12 @@ docstring).  integrate_master_equation, extract_gaussian_coefficients and
 eigendecompose_kernel raise ValueError on a grid holding NaN or inf.
 
 Exercised only at O(1) dimensionless parameters: the macroscopic regime
-spans ~150 decades of coefficient magnitude and is not grid-representable;
-the closed form is parameter-smooth, so O(1) validation transfers.
+spans ~150 decades of coefficient magnitude and is not grid-representable.
+A change of length unit by a power of two, x -> 2^k x (A, B, C over 4^k,
+lam over 16^k, tau times 4^k), leaves the closed form's results and this
+integrator's grid bit for bit the same, because scaling by a power of the
+radix is exact unless it under- or overflows (Higham 2002, ch. 2); the
+least-squares fit is covariant only to rounding.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import GaussianDensityMatrix
+from .model import _require_finite, _require_nonnegative
 
 __all__ = [
     "GridState",
@@ -100,9 +105,8 @@ class GridState:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_min", "x_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _require_finite("x_min", self.x_min)
+        _require_finite("x_max", self.x_max)
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
@@ -188,10 +192,8 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     Raises ValueError if, after the damping, the sup norm has grown by more
     than 10x or Hermiticity drifted past 1e-10.
     """
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    if tau_end < 0.0 or not math.isfinite(tau_end):
-        raise ValueError(f"tau_end must be nonnegative, got {tau_end!r}")
+    _require_nonnegative("lam", lam)
+    _require_nonnegative("tau_end", tau_end)
 
     h = tau_end
     n = grid.n_points

@@ -41,6 +41,8 @@ from .model import (
     lambda_coefficient,
     lambda_composite_crosscheck,
     tau_from_time,
+    _require_finite,
+    _require_nonnegative,
     _require_positive,
 )
 from .observation import measure_profile
@@ -63,7 +65,6 @@ __all__ = [
     "run",
     "profile_rows",
     "load_scenario",
-    "dump_scenario",
     "emit",
     "tolerance_failures",
 ]
@@ -88,9 +89,8 @@ class ObservationFamilySpec:
     def __post_init__(self):
         if not (self.centers_m and all(math.isfinite(c) for c in self.centers_m)):
             raise ValueError(f"centers_m must be nonempty and finite, got {self.centers_m!r}")
-        if not (math.isfinite(self.alpha_per_m2) and self.alpha_per_m2 >= 0.0):
-            raise ValueError(f"alpha_per_m2 must be nonnegative, got {self.alpha_per_m2!r}")
-        _require_positive(gamma_per_m2=self.gamma_per_m2)
+        _require_nonnegative("alpha_per_m2", self.alpha_per_m2)
+        _require_positive("gamma_per_m2", self.gamma_per_m2)
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,17 @@ class Scenario:
     def __post_init__(self):
         if (self.air is None) == (self.environment is None):
             raise ValueError("exactly one of air or environment must be present")
-        _require_positive(evolution_time_s=self.evolution_time_s, initial_dx_m=self.initial_dx_m)
+        _require_positive("evolution_time_s", self.evolution_time_s)
+        _require_positive("initial_dx_m", self.initial_dx_m)
         if self.speed_m_s is not None:
-            _require_positive(speed_m_s=self.speed_m_s)
+            _require_positive("speed_m_s", self.speed_m_s)
         if self.sample_times_s is not None and not (
             self.sample_times_s and all(math.isfinite(t) and t >= 0.0 for t in self.sample_times_s)
         ):
             raise ValueError(f"sample_times_s must be nonempty, finite and nonnegative, got {self.sample_times_s!r}")
         if self.air is not None and self.particle.radius is None:
             raise ValueError("air needs particle.radius to derive a cross section")
-        # dump_scenario writes the name on one line, and the config reader strips it
+        # the text and CSV reports write the name on one line, and the config reader strips it
         if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
             raise ValueError(f"name must be one line without outer whitespace, got {self.name!r}")
 
@@ -169,7 +170,7 @@ class Report:
 
 def flight_time(speed: float) -> float:
     """Level-ground flight time of a 45-degree launch: sqrt(2)*v/g."""
-    _require_positive(speed_m_s=speed)
+    _require_positive("speed_m_s", speed)
     return math.sqrt(2.0) * speed / STANDARD_GRAVITY
 
 
@@ -278,8 +279,7 @@ def evolve_scenario(scenario: Scenario) -> ScenarioEvolution:
     with _naming(scenario, *env_keys, "particle.mass_kg"):
         loc_rate = big_lambda(env)
         lam_si = 0.0 if scenario.disable_decoherence else lambda_coefficient(loc_rate, particle)
-        if not math.isfinite(lam_si):
-            raise ValueError(f"lambda must be finite, got {lam_si!r}")
+        _require_finite("lambda", lam_si)
     lam_planck = lam_si * _AREA * _AREA
     dx_planck = scenario.initial_dx_m / PLANCK_LENGTH
     # a width far from the Planck scale overflows or underflows 1/(8 dx^2)
@@ -531,10 +531,10 @@ def _flag(raw: str) -> bool:
 
 
 # One row per config key: (section, key, keyword argument of the section's
-# dataclass, parser raising ValueError).  Rows are in dump order; of several
-# missing keys the first row's is reported.  A key is required when its
-# dataclass field has no default.  [scenario] has no dataclass of its own: its
-# keys feed Scenario and initial_dx_planck_lengths is converted, so the
+# dataclass, parser raising ValueError), in the order of README's key table;
+# of several missing keys the first row's is reported.  A key is required when
+# its dataclass field has no default.  [scenario] has no dataclass of its own:
+# its keys feed Scenario and initial_dx_planck_lengths is converted, so the
 # cross-key rules in load_scenario decide what it requires.
 _KEYS = (
     ("scenario", "name", "name", str),
@@ -648,34 +648,6 @@ def load_scenario(config_text: str) -> Scenario:
             raise ConfigError("missing required config key: scenario.evolution_time_s")
         settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
     return Scenario(particle=particle, **settings)
-
-
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(repr(item) for item in value)
-    return value if isinstance(value, str) else repr(value)
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to config text, one line per table row whose
-    field differs from its default; load_scenario(dump_scenario(s)) == s
-    (floats via repr)."""
-    blocks = []
-    for section in _SECTIONS:
-        obj = scenario if section == "scenario" else getattr(scenario, section)
-        if obj is None:
-            continue
-        defaults = {field.name: field.default for field in fields(obj)}
-        lines = [f"[{section}]"]
-        for row_section, key, name, _ in _KEYS:
-            if row_section == section and name in defaults:
-                value = getattr(obj, name)
-                if value != defaults[name]:
-                    lines.append(f"{key} = {_format(value)}")
-        blocks.append("".join(line + "\n" for line in lines))
-    return "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
+from .model import _require_nonnegative, _require_positive
 
 __all__ = [
     "SpectralSummary",
@@ -56,8 +57,7 @@ class EigenstateSpec:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("index must be nonnegative")
-        if not (math.isfinite(self.width_parameter) and self.width_parameter > 0.0):
-            raise ValueError("width_parameter must be positive")
+        _require_positive("width_parameter", self.width_parameter)
 
 
 def mean_excitation(state: GaussianDensityMatrix) -> float:
@@ -70,8 +70,7 @@ def eigenvalue(n_mean: float, n: int) -> float:
     """p_n = N^n / (N+1)^(n+1), computed as exp(n ln N - (n+1) ln(N+1))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
+    _require_nonnegative("mean excitation", n_mean)
     if n_mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(n_mean) - (n + 1) * math.log1p(n_mean))
@@ -85,8 +84,7 @@ def von_neumann_entropy(n_mean: float) -> float:
     Where 1/N overflows (subnormal N), N ln(1 + 1/N) is taken as
     N (ln(1+N) - ln N) instead.
     """
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
+    _require_nonnegative("mean excitation", n_mean)
     if n_mean == 0.0:
         return 0.0
     inverse = 1.0 / n_mean
@@ -99,8 +97,7 @@ def captured_mass(n_mean: float, n_max: int) -> float:
     """Sum of p_0..p_n_max = 1 - (N/(N+1))^(n_max+1), via expm1."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
+    _require_nonnegative("mean excitation", n_mean)
     if n_mean == 0.0:
         return 1.0
     log_ratio = -math.log1p(1.0 / n_mean)  # ln(N/(N+1)) < 0
@@ -111,8 +108,7 @@ def truncation_index(n_mean: float, target_mass: float) -> int:
     """Smallest n with captured_mass(N, n) >= target_mass."""
     if not (0.0 < target_mass < 1.0):
         raise ValueError(f"target_mass must lie in (0, 1), got {target_mass!r}")
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean excitation must be finite and nonnegative, got {n_mean!r}")
+    _require_nonnegative("mean excitation", n_mean)
     if n_mean == 0.0:
         return 0
     log_ratio = -math.log1p(1.0 / n_mean)

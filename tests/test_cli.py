@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _config import dump_scenario
 from conftest import SUBPROCESS_ENV
 from decogauss import oracle
 from decogauss.cli import main
-from decogauss.scenarios import _KEYS, baseball_scenario, dump_scenario
+from decogauss.scenarios import _KEYS, baseball_scenario
 from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -172,11 +173,11 @@ def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
 @pytest.mark.parametrize(
     "dx, line",
     [
-        ("1e200", "scenario.initial_dx_m = 1e+200: dx0_squared must be positive, got inf"),
+        ("1e200", "scenario.initial_dx_m = 1e+200: dx0_squared must be positive and finite, got inf"),
         (
             "1e-156",
             "scenario.initial_dx_m = 1e-156, scenario.evolution_time_s = 6.446748185397342,"
-            " particle.mass_kg = 0.1459553: a_coeff must be finite",
+            " particle.mass_kg = 0.1459553: a_coeff must be finite, got nan",
         ),
     ],
     ids=["1e200", "1e-156"],
@@ -249,7 +250,7 @@ def test_overflowing_evolved_state_exits_3_naming_all_three_keys(tmp_path, capsy
     assert main(["run", "--config", str(config)]) == 3
     assert capsys.readouterr().err == (
         "validation error: scenario.initial_dx_m = 8.081275e-36, scenario.evolution_time_s = 6.446748185397342,"
-        " particle.mass_kg = 1e-200: a_coeff must be finite\n"
+        " particle.mass_kg = 1e-200: a_coeff must be finite, got nan\n"
     )
 
 
@@ -434,7 +435,7 @@ def test_spectrum_overflow_says_finite_and_nonnegative(capsys):
     assert main(["spectrum", "--A=1e308", "--B=1e308", "--C=1e-308"]) == 3
     assert capsys.readouterr().err == (
         "validation error: --A = 1e+308, --B = 1e+308, --C = 1e-308:"
-        " mean excitation must be finite and nonnegative, got inf\n"
+        " mean excitation must be nonnegative and finite, got inf\n"
     )
 
 

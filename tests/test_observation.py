@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,56 @@ def test_measure_survives_an_underflowing_denominator():
     small_op = ObservationOperator(0.0, op.alpha * scale, op.gamma * scale)
     assert (small.a_coeff + small_op.alpha) * (small.c_coeff + small_op.gamma) == 0.0
     assert measure(small_op, small) == pytest.approx(measure(op, state), rel=1e-15)
+
+
+def mp_measure(op, state):
+    """The module's closed form at 50 digits, where no product under- or
+    overflows."""
+    with mpmath.workdps(50):
+        a, b, c, alpha, gamma, center = map(
+            mpmath.mpf, (state.a_coeff, state.b_coeff, state.c_coeff, op.alpha, op.gamma, op.center)
+        )
+        q_minus_gamma = c + b * b / (4 * (a + alpha))
+        q = q_minus_gamma + gamma
+        value = 2 * mpmath.sqrt(gamma / q) * mpmath.sqrt(c / (a + alpha))
+        return float(value * mpmath.exp(-4 * gamma * q_minus_gamma * center * center / q))
+
+
+TINY = GaussianDensityMatrix(2.0**-1040, 0.0, 2.0**-1040)
+
+
+@pytest.mark.parametrize(
+    "op, state",
+    [
+        # 4 gamma (Q - gamma) = 2**-1078 underflows to 0 against a finite
+        # centre**2, which read 5.27e-82, the exponent lost
+        pytest.param(
+            ObservationOperator(2.0**270, 1.0, 2.0**-540), GaussianDensityMatrix(1.0, 0.0, 2.0**-540), id="underflow"
+        ),
+        # 4 gamma (Q - gamma) ~ 8.8e-315 is subnormal: 31 of its 53 bits are left
+        pytest.param(
+            ObservationOperator(4.1e79, 1.0, 1.3e-160), GaussianDensityMatrix(1.0, 0.0, 1.7e-155), id="subnormal"
+        ),
+        # it underflows against an overflowed centre**2: 0 * inf read nan
+        pytest.param(ObservationOperator(3.0 * 2.0**518, 0.0, 2.0**-1040), TINY, id="underflow-times-inf"),
+        pytest.param(ObservationOperator(-2.5e156, 0.0, 2.0**-1040), TINY, id="underflow-times-inf-negative"),
+        # 4 gamma (Q - gamma) = 4e308 overflows: -inf * centre**2 read 0,
+        # and -inf * 0 read nan at the window's centre
+        pytest.param(ObservationOperator(1e-5, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow"),
+        pytest.param(ObservationOperator(0.0, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow-at-zero"),
+    ],
+)
+def test_measure_keeps_an_exponent_whose_products_leave_the_range(op, state):
+    exact = mp_measure(op, state)
+    assert 0.0 < exact <= 2.0
+    assert abs(measure(op, state) - exact) <= 2 * math.ulp(exact)
+
+
+def test_measure_keeps_an_exponent_whose_centre_squared_overflows():
+    # a normal 4 gamma (Q - gamma) = 4e-308 against centre**2 = inf read 0;
+    # the exponent is -160, and its own rounding moves the result by ~1e-13
+    op, state = ObservationOperator(2e154, 0.0, 1e-307), GaussianDensityMatrix(0.1, 0.0, 0.1)
+    assert measure(op, state) == pytest.approx(mp_measure(op, state), rel=1e-13, abs=0.0)
 
 
 def test_profile_singleton_matches_measure():

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _config import dump_scenario
 from _sweep import random_config, sweep
 from conftest import SUBPROCESS_ENV
 from hypothesis import given, reject, settings
@@ -25,7 +26,6 @@ from decogauss.scenarios import (
     ProfileRow,
     Scenario,
     baseball_scenario,
-    dump_scenario,
     emit,
     evolve_scenario,
     flight_time,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -94,7 +95,8 @@ def test_eigenvalue_rejects_bad_arguments():
 )
 @pytest.mark.parametrize("n_mean", [math.inf, math.nan, -1.0])
 def test_bad_mean_excitation_message(call, n_mean):
-    with pytest.raises(ValueError, match=r"^mean excitation must be finite and nonnegative, got "):
+    message = f"mean excitation must be nonnegative and finite, got {n_mean!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(n_mean)
 
 
