@@ -22,7 +22,6 @@ squared.  The test suite holds this algebra against 2-D quadrature.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .evolution import GaussianDensityMatrix
@@ -55,25 +54,24 @@ def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     denom_y = a + op.alpha
     q_minus_gamma = c + b * b / (4.0 * denom_y)
     q = q_minus_gamma + op.gamma
+    if math.isinf(q):
+        return math.nan  # Q overflowed; the closed form gives no value past it
     scale = denom_y * q
     if scale > 0.0:
         prefactor = op.norm * math.sqrt(math.pi * c / scale)
     else:
         # (A + alpha) Q underflowed; gamma/Q and C/(A + alpha) are at most 1
         prefactor = 2.0 * math.sqrt(op.gamma / q) * math.sqrt(c / denom_y)
-    factor = -4.0 * op.gamma * q_minus_gamma
-    exponent = factor * (op.center * op.center) / q
-    if not (sys.float_info.min <= -factor < math.inf and exponent > -math.inf):
-        # 4 gamma (Q - gamma) left the normal doubles before meeting center^2
-        # (0 read exponent 0, or nan against an overflowed center^2; inf read
-        # -inf, or nan at center 0), or center^2 overflowed: multiply the
-        # significands, add the exponents
-        parts = map(math.frexp, (op.gamma, q_minus_gamma, op.center, q))
-        (m_g, e_g), (m_r, e_r), (m_x, e_x), (m_q, e_q) = parts
-        try:
-            exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
-        except OverflowError:
-            exponent = -math.inf
+    # -4 gamma (Q - gamma) center^2 / Q on the significands, the binary
+    # exponents summed apart, so no product under- or overflows on the way;
+    # a power-of-two scale is exact, so each product rounds as the direct one
+    # does wherever that stays normal
+    parts = map(math.frexp, (op.gamma, q_minus_gamma, op.center, q))
+    (m_g, e_g), (m_r, e_r), (m_x, e_x), (m_q, e_q) = parts
+    try:
+        exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
+    except OverflowError:
+        exponent = -math.inf
     return prefactor * math.exp(exponent)
 
 

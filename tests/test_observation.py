@@ -192,6 +192,12 @@ def test_measure_keeps_an_exponent_whose_centre_squared_overflows():
     assert measure(op, state) == pytest.approx(mp_measure(op, state), rel=1e-13, abs=0.0)
 
 
+def test_measure_is_nan_where_q_overflows():
+    # Q = 1e308 + 1e308 leaves the doubles; the measure is left undefined
+    op, state = ObservationOperator(0.0, 0.0, 1e308), GaussianDensityMatrix(1e308, 0.0, 1e308)
+    assert math.isnan(measure(op, state))
+
+
 def test_profile_singleton_matches_measure():
     rows = measure_profile([0.7], 0.5, 1.0, STATE)
     assert rows == [(0.7, measure(ObservationOperator(0.7, 0.5, 1.0), STATE))]
