@@ -56,22 +56,22 @@ def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     q = q_minus_gamma + op.gamma
     if math.isinf(q):
         return math.nan  # Q overflowed; the closed form gives no value past it
-    scale = denom_y * q
-    if scale > 0.0:
-        prefactor = op.norm * math.sqrt(math.pi * c / scale)
-    else:
-        # (A + alpha) Q underflowed; gamma/Q and C/(A + alpha) are at most 1
-        prefactor = 2.0 * math.sqrt(op.gamma / q) * math.sqrt(c / denom_y)
-    # -4 gamma (Q - gamma) center^2 / Q on the significands, the binary
-    # exponents summed apart, so no product under- or overflows on the way;
-    # a power-of-two scale is exact, so each product rounds as the direct one
-    # does wherever that stays normal
-    parts = map(math.frexp, (op.gamma, q_minus_gamma, op.center, q))
-    (m_g, e_g), (m_r, e_r), (m_x, e_x), (m_q, e_q) = parts
+    # the whole form on the significands, the binary exponents summed apart,
+    # so no product under- or overflows on the way; a power-of-two scale is
+    # exact, so each product rounds as the direct one does wherever that
+    # stays normal
+    (m_g, e_g), (m_r, e_r), (m_x, e_x) = math.frexp(op.gamma), math.frexp(q_minus_gamma), math.frexp(op.center)
+    (m_q, e_q), (m_c, e_c), (m_a, e_a) = math.frexp(q), math.frexp(c), math.frexp(denom_y)
     try:
         exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
     except OverflowError:
         exponent = -math.inf
+    # norm * sqrt(pi C / ((A + alpha) Q)): each root on a significand times
+    # its exponent's odd bit, the even halves in one ldexp after the product
+    e_s = e_c - e_a - e_q
+    root_g = 2.0 * math.sqrt(math.ldexp(m_g, e_g % 2) / math.pi)
+    root_s = math.sqrt(math.ldexp(math.pi * m_c / (m_a * m_q), e_s % 2))
+    prefactor = math.ldexp(root_g * root_s, e_g // 2 + e_s // 2)
     return prefactor * math.exp(exponent)
 
 

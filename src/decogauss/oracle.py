@@ -189,8 +189,9 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     modulus 1, so no interval is unstable.  (The order D F D needs the
     anti-diffusive exp(+(lam / 4) h^3 (k + k')^2) and blows up.)
 
-    Raises ValueError if, after the damping, the sup norm has grown by more
-    than 10x or Hermiticity drifted past 1e-10.
+    Raises ValueError if, after the damping, Hermiticity has drifted past
+    1e-10 times the initial peak (at least 1e-10), which a non-finite grid
+    does too.
     """
     _require_nonnegative("lam", lam)
     _require_nonnegative("tau_end", tau_end)
@@ -222,11 +223,6 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     np.exp(real, out=real)
     rho *= real
     del real
-    peak = _peak_modulus(rho)
-    if not peak <= 10.0 * initial_peak:
-        raise ValueError(
-            f"instability detected: sup norm grew from {initial_peak:.3e} to {peak:.3e}"
-        )
     herm = _hermiticity_error(rho)
     if not herm <= 1e-10 * max(1.0, initial_peak):
         raise ValueError(f"Hermiticity drifted to {herm:.3e}")

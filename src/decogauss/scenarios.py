@@ -218,8 +218,6 @@ _BASEBALL_REFERENCES = {
 
 
 def _significand(value: float) -> float:
-    if value == 0.0:
-        return 0.0
     exponent = math.floor(math.log10(abs(value)))
     return value / 10.0**exponent
 
@@ -301,7 +299,7 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
     """Full pipeline: ``evolve_scenario``, then the scalar rows, the
     trajectory table, the discrepancy ledger and the observation profile."""
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise ValueError(f"samples must be at least 1, got {samples}")
     evolution = evolve_scenario(scenario)
     scalars = _scalar_rows(evolution)
     if scenario.sample_times_s is not None:

@@ -67,6 +67,17 @@ def test_bad_config_exits_2(tmp_path):
     assert "mass_kg" in result.stderr
 
 
+def test_non_boolean_flag_exits_2_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "flag.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario()).replace("[scenario]\n", "[scenario]\ndisable_decoherence = maybe\n")
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: value of scenario.disable_decoherence is not a boolean: 'maybe'\n"
+    )
+
+
 def test_missing_config_file_exits_2(tmp_path):
     result = run_cli("run", "--config", str(tmp_path / "nope.ini"))
     assert result.returncode == 2
@@ -487,12 +498,12 @@ def test_oracle_check_prints_its_seeded_sets(capsys):
 
 
 def test_oracle_check_integration_failure_exits_3(monkeypatch, capsys):
-    def unstable(*args, **kwargs):
-        raise ValueError("instability detected")
+    def drifted(*args, **kwargs):
+        raise ValueError("Hermiticity drifted to nan")
 
-    monkeypatch.setattr(oracle, "integrate_master_equation", unstable)
+    monkeypatch.setattr(oracle, "integrate_master_equation", drifted)
     assert main(["oracle-check", "--samples", "1"]) == 3
-    assert capsys.readouterr().err == "validation error: instability detected\n"
+    assert capsys.readouterr().err == "validation error: Hermiticity drifted to nan\n"
 
 
 def test_oracle_check_other_runtime_errors_propagate(monkeypatch):

@@ -177,6 +177,15 @@ TINY = GaussianDensityMatrix(2.0**-1040, 0.0, 2.0**-1040)
         # and -inf * 0 read nan at the window's centre
         pytest.param(ObservationOperator(1e-5, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow"),
         pytest.param(ObservationOperator(0.0, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow-at-zero"),
+        # the prefactor's (A + alpha) Q = 1e200 * 2e200 overflows: pi C / inf read 0
+        pytest.param(
+            ObservationOperator(1e-100, 0.0, 1e200), GaussianDensityMatrix(1e200, 0.0, 1e200), id="prefactor-overflow"
+        ),
+        # pi C / ((A + alpha) Q) ~ 4e-401 underflows to 0, though its square
+        # root ~ 6e-201 is a normal double
+        pytest.param(
+            ObservationOperator(3e99, 0.5, 2.0), GaussianDensityMatrix(4e200, 3.0, 1e-200), id="prefactor-underflow"
+        ),
     ],
 )
 def test_measure_keeps_an_exponent_whose_products_leave_the_range(op, state):

@@ -308,6 +308,31 @@ def test_single_step_over_long_interval_is_stable():
     assert _hermiticity_error(evolved.values) < 1e-10
 
 
+def test_integration_follows_a_focusing_state_through_its_focus():
+    # B > 0 focuses: X(tau) falls from 2 to its minimum at tau_focus and is
+    # back at 2.0012 by tau = 2 tau_focus, while the kernel's peak grows by
+    # about sqrt(C_focus / C0) ~ 11 on the way; a sup-norm guard read that
+    # growth as an instability
+    lam, tau_end = 0.3, 0.247955
+    state = GaussianDensityMatrix(0.5, 4.0, 0.0625)
+    evolved = integrate_master_equation(discretize(state, -12.0, 12.0, 625), lam, tau_end)
+    fit = extract_gaussian_coefficients(evolved)
+    exact = evolve(cubic_from_initial(state, lam), tau_end)
+    assert abs(fit.a_coeff - exact.a_coeff) <= 1e-12 * exact.a_coeff
+    assert abs(fit.b_coeff - exact.b_coeff) <= 1e-12 * max(abs(exact.b_coeff), exact.c_coeff)
+    assert abs(fit.c_coeff - exact.c_coeff) <= 1e-12 * exact.c_coeff
+
+
+def test_integration_rejects_a_grid_that_leaves_the_doubles_mid_step():
+    # a finite grid whose transform overflows: the Hermiticity guard, which
+    # NaN fails, stops it after the damping
+    grid = spanning_grid(MIXED, n_points=128)
+    huge = GridState(grid.x_min, grid.x_max, grid.values * 1e306)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^Hermiticity drifted to nan$"):
+            integrate_master_equation(huge, 1.0, 0.2)
+
+
 def test_integration_raises_on_hermiticity_drift():
     grid = spanning_grid(MIXED, n_points=128)
     values = grid.values.copy()

@@ -412,6 +412,25 @@ def test_non_numeric_value_rejected():
         load_scenario(text)
 
 
+def test_disable_decoherence_false_parses():
+    text = dump_scenario(baseball_scenario()).replace("[scenario]\n", "[scenario]\ndisable_decoherence = false\n")
+    assert load_scenario(text) == baseball_scenario()
+
+
+@pytest.mark.parametrize("raw", ["", " , "])
+def test_empty_centers_list_rejected(raw):
+    text = dump_scenario(baseball_scenario()) + (
+        f"\n[observation]\ncenters_m ={raw}\nalpha_per_m2 = 1.0\ngamma_per_m2 = 1e-5\n"
+    )
+    with pytest.raises(ConfigError, match=r"^value of observation\.centers_m is an empty list$"):
+        load_scenario(text)
+
+
+def test_run_rejects_zero_samples():
+    with pytest.raises(ValueError, match=r"^samples must be at least 1, got 0$"):
+        run(baseball_scenario(), samples=0)
+
+
 def test_initial_dx_planck_lengths_key():
     text = dump_scenario(baseball_scenario()).replace(
         "initial_dx_m = 8.081275e-36", "initial_dx_planck_lengths = 0.5"
