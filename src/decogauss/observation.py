@@ -52,16 +52,21 @@ def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     operator and state are given in one length unit."""
     a, b, c = state.a_coeff, state.b_coeff, state.c_coeff
     denom_y = a + op.alpha
-    q_minus_gamma = c + b * b / (4.0 * denom_y)
+    # B^2 / (4 (A + alpha)) on the significands too, so B * B cannot underflow
+    (m_b, e_b), (m_a, e_a) = math.frexp(b), math.frexp(denom_y)
+    try:
+        q_minus_gamma = c + math.ldexp(m_b * m_b / (4.0 * m_a), 2 * e_b - e_a)
+    except OverflowError:
+        return math.nan  # Q overflowed; the closed form gives no value past it
     q = q_minus_gamma + op.gamma
     if math.isinf(q):
-        return math.nan  # Q overflowed; the closed form gives no value past it
+        return math.nan
     # the whole form on the significands, the binary exponents summed apart,
     # so no product under- or overflows on the way; a power-of-two scale is
     # exact, so each product rounds as the direct one does wherever that
     # stays normal
     (m_g, e_g), (m_r, e_r), (m_x, e_x) = math.frexp(op.gamma), math.frexp(q_minus_gamma), math.frexp(op.center)
-    (m_q, e_q), (m_c, e_c), (m_a, e_a) = math.frexp(q), math.frexp(c), math.frexp(denom_y)
+    (m_q, e_q), (m_c, e_c) = math.frexp(q), math.frexp(c)
     try:
         exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
     except OverflowError:

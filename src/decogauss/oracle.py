@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 
-#: Rows per block of the guards' reductions: at n = 512 a complex block is
-#: 512 KB, so no guard builds a temporary the size of the grid.
+#: Rows per block of the guards' reductions and of the fit: at n = 512 a
+#: complex block is 512 KB, so neither builds a temporary the size of the grid.
 _ROW_BLOCK = 64
 
 
@@ -249,80 +249,72 @@ FIT_WINDOW_FLOOR = 1e-10
 FIT_RESIDUAL_THRESHOLD = 1e-2
 
 
+def _block_factors(v, start, peak, xs, seed_phase, b_seed):
+    """Householder R factors of one row block's weighted window rows
+    [w y^2, w z^2, w, -w ln|v|] and [w y z, w u]; no window array outlives the call."""
+    mag = np.abs(v[start : start + _ROW_BLOCK])
+    window = np.flatnonzero(mag >= FIT_WINDOW_FLOOR * peak)
+    mag = mag.ravel()[window]
+    window += start * len(v)
+    rows, cols = np.divmod(window, len(v))
+    w = mag / peak
+    y, z = xs[rows], xs[cols]
+    y, z = y - z, y + z
+    # transposed, each set is in LAPACK's Fortran order; one is factored before the next is built
+    r_mag = np.linalg.qr(np.array([w * y * y, w * z * z, w, -w * np.log(mag)]).T, mode="r")
+    yz = y * z
+    # the seed's two factors are multiplied together before they meet v
+    u = np.angle(v.ravel()[window] * (seed_phase[rows] * seed_phase.conj()[cols])) - b_seed * yz
+    return r_mag, np.linalg.qr(np.array([w * yz, w * u]).T, mode="r")
+
+
 def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     """Weighted least-squares fit of -ln(kernel) to A y^2 + i B y z + C z^2 + D
     over the central window |kernel| >= FIT_WINDOW_FLOOR * peak.
 
     The magnitude fixes A, C; the phase fixes B, seeded by a cross stencil at
     the peak and rewrapped against that seed, so phase wraps across the
-    window do not alias the fit.  Residuals above FIT_RESIDUAL_THRESHOLD raise
-    ValueError (deliberately non-Gaussian input).
+    window do not alias the fit.  Both least-squares problems run as the
+    sequential tall-skinny QR of Demmel et al. (SIAM J. Sci. Comput. 34,
+    2012): one more QR reduces the stacked R factors of the row blocks (u is
+    the rewrapped phase), and R gives A, C, D and B by back substitution and
+    the residual norms as its last diagonal entries.  A window that does not
+    determine A, C and D raises ValueError, as does a residual above
+    FIT_RESIDUAL_THRESHOLD (deliberately non-Gaussian input).
     """
     v, n = grid.values, grid.n_points
-    mags = np.abs(v)
-    peak = _finite_peak(float(mags.max()))
+    # pass 1: each row block's first largest modulus, in row-major order;
+    # argmax finds a NaN first, so a NaN reaches the block maxima
+    blocks = range(0, n, _ROW_BLOCK)
+    firsts = [s * n + int(np.argmax(np.abs(v[s : s + _ROW_BLOCK]))) for s in blocks]
+    maxima = np.abs(v.ravel()[firsts])
+    peak = _finite_peak(float(np.max(maxima)))
     if peak <= 0.0:
         raise ValueError("kernel is identically zero")
-    # the window as flat indices into the grid, in row-major order, so no
-    # n x n array beyond mags is built and each window array is freed once read
-    window = np.flatnonzero(mags >= FIT_WINDOW_FLOOR * peak)
-    mag_window = mags.ravel()[window]
-    del mags
-    # the peak is the window's first largest entry, as it is the grid's
-    ic, jc = divmod(int(window[np.argmax(mag_window)]), n)
-    w = mag_window / peak
-    # magnitude part: -ln|v| = A y^2 + C z^2 + Re D
-    data_r = -np.log(mag_window)
-    del mag_window
-
+    ic, jc = divmod(firsts[int(np.argmax(maxima))], n)
     # phase part: arg v = -B y z; seed B from the mixed stencil at the peak
     if 1 <= ic < n - 1 and 1 <= jc < n - 1:
-        up, left, right, down = np.angle(
-            v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]]
-        )
+        up, left, right, down = np.angle(v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]])
         b_seed = -(up - left - right + down) / (4.0 * grid.spacing**2)
     else:
         b_seed = 0.0
     xs = grid.xs
-    # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n
-    # complex exps instead of one per window point, multiplied together
-    # before they meet v
+    # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n exps
     seed_phase = np.exp(1j * b_seed * xs * xs)
-    rows, cols = np.divmod(window, n)
-    rewrap = seed_phase[rows]
-    rewrap *= seed_phase.conj()[cols]
-    rewrap = np.angle(np.multiply(v.ravel()[window], rewrap, out=rewrap))
-    del window
-    y = xs[rows] - xs[cols]
-    z = xs[rows] + xs[cols]
-    del rows, cols
-    yz = y * z
-    unwrapped = np.add(-b_seed * yz, rewrap, out=rewrap)
-    weight_sq = w * w
-    denom = float(np.sum((w * yz) ** 2))
-    b_fit = b_seed if denom == 0.0 else float(np.sum(weight_sq * yz * (-unwrapped)) / denom)
-    imag_misfit = np.add(b_fit * yz, unwrapped, out=unwrapped)
-    del yz
-
-    # one row per basis function, so design.T is the Fortran-ordered matrix
-    # LAPACK reads, weighted and scaled in place
-    design = np.empty((3, len(y)))
-    np.multiply(y, y, out=design[0])
-    np.multiply(z, z, out=design[1])
-    design[2] = 1.0
-    scale = design.max(axis=1)  # every entry is nonnegative
-    design *= w
-    design /= scale[:, None]
-    coeffs, *_ = np.linalg.lstsq(design.T, w * data_r, rcond=None)
-    del design, w
-    coeffs = coeffs / scale
-    a_fit, c_fit, d_fit = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
-
-    # |model - data|^2 of the complex log fit, in real arithmetic
-    real_misfit = a_fit * y * y + c_fit * z * z + d_fit - data_r
-    residual = math.sqrt(
-        float(np.sum(weight_sq * (real_misfit**2 + imag_misfit**2)) / np.sum(weight_sq))
-    )
+    # pass 2: each block's R factors, stacked under zero factors so R is square
+    magnitude, phase = zip(*(_block_factors(v, s, peak, xs, seed_phase, b_seed) for s in blocks))
+    r = np.linalg.qr(np.concatenate([np.zeros((4, 4)), *magnitude]), mode="r")
+    r_phase = np.linalg.qr(np.concatenate([np.zeros((2, 2)), *phase]), mode="r")
+    # column k lies within rounding of the span of those before it when |R_kk|
+    # is within lstsq's cutoff, eps * rows, of the column's norm (rows <= n^2)
+    cutoff = v.size * np.finfo(float).eps
+    if not all(abs(r[k, k]) > cutoff * math.hypot(*r[: k + 1, k]) for k in range(3)):
+        raise ValueError("the fit window does not determine A, C and D")
+    a_fit, c_fit, _ = map(float, np.linalg.solve(r[:3, :3], r[:3, 3]))
+    # R_phase[0, 0]^2 = sum (w yz)^2 and R_phase[0, 0] R_phase[0, 1] = sum w^2 yz u
+    b_fit = b_seed if r_phase[0, 0] == 0.0 else float(-r_phase[0, 1] / r_phase[0, 0])
+    # R's w column keeps its norm, sqrt(sum w^2)
+    residual = math.hypot(r[3, 3], r_phase[1, 1]) / math.hypot(*r[:3, 2])
     if residual > FIT_RESIDUAL_THRESHOLD:
         raise ValueError(
             f"kernel deviates from the Gaussian form: residual {residual:.3e} "

@@ -186,6 +186,12 @@ TINY = GaussianDensityMatrix(2.0**-1040, 0.0, 2.0**-1040)
         pytest.param(
             ObservationOperator(3e99, 0.5, 2.0), GaussianDensityMatrix(4e200, 3.0, 1e-200), id="prefactor-underflow"
         ),
+        # B * B = 9.6e-350 underflows to 0, though B^2 / (4 (A + alpha)) ~ 3e-30
+        # is most of Q: Q read C + gamma and the measure 2.0, not 8.878e-72
+        pytest.param(
+            ObservationOperator(0.0, 0.0, 6e-173), GaussianDensityMatrix(7.89e-321, -3.1e-175, 7.89e-321),
+            id="b-squared-underflow",
+        ),
     ],
 )
 def test_measure_keeps_an_exponent_whose_products_leave_the_range(op, state):
