@@ -47,26 +47,29 @@ class ObservationOperator:
         return 2.0 * math.sqrt(self.gamma / math.pi)
 
 
+def _add(m_x: float, e_x: int, m_y: float, e_y: int) -> tuple[float, int]:
+    """m_x 2^e_x + m_y 2^e_y as a frexp pair, for m_x != 0: the term with the
+    smaller exponent is scaled to the other's before the one rounding add.
+    A zero m_y carries no exponent, so it never sets the scale."""
+    if m_y and e_y > e_x:
+        m_x, e_x, m_y, e_y = m_y, e_y, m_x, e_x
+    m, e = math.frexp(m_x + math.ldexp(m_y, e_y - e_x))
+    return m, e + e_x
+
+
 def measure(op: ObservationOperator, state: GaussianDensityMatrix) -> float:
     """tr(A_k rho), the closed 2-D Gaussian integral of the product kernel;
     operator and state are given in one length unit."""
-    a, b, c = state.a_coeff, state.b_coeff, state.c_coeff
-    denom_y = a + op.alpha
-    # B^2 / (4 (A + alpha)) on the significands too, so B * B cannot underflow
-    (m_b, e_b), (m_a, e_a) = math.frexp(b), math.frexp(denom_y)
-    try:
-        q_minus_gamma = c + math.ldexp(m_b * m_b / (4.0 * m_a), 2 * e_b - e_a)
-    except OverflowError:
-        return math.nan  # Q overflowed; the closed form gives no value past it
-    q = q_minus_gamma + op.gamma
-    if math.isinf(q):
-        return math.nan
     # the whole form on the significands, the binary exponents summed apart,
-    # so no product under- or overflows on the way; a power-of-two scale is
-    # exact, so each product rounds as the direct one does wherever that
-    # stays normal
-    (m_g, e_g), (m_r, e_r), (m_x, e_x) = math.frexp(op.gamma), math.frexp(q_minus_gamma), math.frexp(op.center)
-    (m_q, e_q), (m_c, e_c) = math.frexp(q), math.frexp(c)
+    # so no sum, product or quotient under- or overflows on the way; a
+    # power-of-two scale is exact, so each step rounds as the direct one
+    # does wherever that stays normal
+    (m_b, e_b), (m_c, e_c) = math.frexp(state.b_coeff), math.frexp(state.c_coeff)
+    (m_g, e_g), (m_x, e_x) = math.frexp(op.gamma), math.frexp(op.center)
+    # A + alpha, Q - gamma = C + B^2 / (4 (A + alpha)), then Q = (Q - gamma) + gamma
+    m_a, e_a = _add(*math.frexp(state.a_coeff), *math.frexp(op.alpha))
+    m_r, e_r = _add(m_c, e_c, m_b * m_b / (4.0 * m_a), 2 * e_b - e_a)
+    m_q, e_q = _add(m_r, e_r, m_g, e_g)
     try:
         exponent = math.ldexp(-4.0 * m_g * m_r * (m_x * m_x) / m_q, e_g + e_r + 2 * e_x - e_q)
     except OverflowError:

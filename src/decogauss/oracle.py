@@ -65,9 +65,17 @@ def _max_abs(block, rows: int) -> float:
     ]))
 
 
-def _peak_modulus(values: np.ndarray) -> float:
-    """max |rho|, which is NaN or inf when any value is."""
-    return _max_abs(lambda s: values[s], len(values))
+def _peak(values: np.ndarray) -> tuple[float, int, int]:
+    """The first largest |rho| in row-major order and its (row, column),
+    found block by block.  argmax finds a NaN first, so a NaN reaches the
+    block maxima, and a grid holding NaN or inf raises ValueError."""
+    n = len(values)
+    firsts = [s * n + int(np.argmax(np.abs(values[s : s + _ROW_BLOCK]))) for s in range(0, n, _ROW_BLOCK)]
+    maxima = np.abs(values.ravel()[firsts])
+    peak = float(np.max(maxima))
+    if not math.isfinite(peak):
+        raise ValueError(f"grid is not finite: peak modulus {peak}")
+    return (peak, *divmod(firsts[int(np.argmax(maxima))], n))
 
 
 def _hermiticity_error(values: np.ndarray) -> float:
@@ -87,13 +95,6 @@ def _reflection_error(values: np.ndarray) -> float:
     rho - J rho J is odd under J, so its top (n + 1) // 2 rows hold the
     maximum."""
     return _max_abs(lambda s: values[s] - values[::-1, ::-1][s], (len(values) + 1) // 2)
-
-
-def _finite_peak(peak: float) -> float:
-    """The grid's peak modulus, which is NaN or inf when any value is."""
-    if not math.isfinite(peak):
-        raise ValueError(f"grid is not finite: peak modulus {peak}")
-    return peak
 
 
 @dataclass
@@ -212,7 +213,7 @@ def integrate_master_equation(grid: GridState, lam: float, tau_end: float) -> Gr
     # in place on the integrator's own copy; ifftn, because numpy 2's
     # ifft2 drops its out= argument
     rho = grid.values.astype(np.complex128, copy=True)
-    initial_peak = _finite_peak(_peak_modulus(rho))
+    initial_peak, _, _ = _peak(rho)
     rho = np.fft.fftn(rho, out=rho)
     rho *= flight
     rho = np.fft.ifftn(rho, out=rho)
@@ -283,15 +284,9 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     FIT_RESIDUAL_THRESHOLD (deliberately non-Gaussian input).
     """
     v, n = grid.values, grid.n_points
-    # pass 1: each row block's first largest modulus, in row-major order;
-    # argmax finds a NaN first, so a NaN reaches the block maxima
-    blocks = range(0, n, _ROW_BLOCK)
-    firsts = [s * n + int(np.argmax(np.abs(v[s : s + _ROW_BLOCK]))) for s in blocks]
-    maxima = np.abs(v.ravel()[firsts])
-    peak = _finite_peak(float(np.max(maxima)))
+    peak, ic, jc = _peak(v)
     if peak <= 0.0:
         raise ValueError("kernel is identically zero")
-    ic, jc = divmod(firsts[int(np.argmax(maxima))], n)
     # phase part: arg v = -B y z; seed B from the mixed stencil at the peak
     if 1 <= ic < n - 1 and 1 <= jc < n - 1:
         up, left, right, down = np.angle(v[[ic + 1, ic, ic, ic - 1], [jc, jc - 1, jc + 1, jc]])
@@ -301,7 +296,8 @@ def extract_gaussian_coefficients(grid: GridState) -> GaussianFit:
     xs = grid.xs
     # exp(-i predicted) = exp(i b_seed x^2) exp(-i b_seed x'^2): two length-n exps
     seed_phase = np.exp(1j * b_seed * xs * xs)
-    # pass 2: each block's R factors, stacked under zero factors so R is square
+    # each block's R factors, stacked under zero factors so R is square
+    blocks = range(0, n, _ROW_BLOCK)
     magnitude, phase = zip(*(_block_factors(v, s, peak, xs, seed_phase, b_seed) for s in blocks))
     r = np.linalg.qr(np.concatenate([np.zeros((4, 4)), *magnitude]), mode="r")
     r_phase = np.linalg.qr(np.concatenate([np.zeros((2, 2)), *phase]), mode="r")
@@ -385,7 +381,7 @@ def eigendecompose_kernel(grid: GridState, count: int):
     if not (1 <= count <= 32):
         raise ValueError(f"count must be between 1 and 32, got {count}")
     v, n = grid.values, grid.n_points
-    bound = 1e-10 * max(1.0, _finite_peak(_peak_modulus(v)))
+    bound = 1e-10 * max(1.0, _peak(v)[0])
     herm = _hermiticity_error(v)
     if not herm <= bound:
         raise ValueError(f"grid is not Hermitian: deviation {herm:.3e}")

@@ -354,10 +354,47 @@ def test_every_loadable_config_reports_or_exits_3(text, tmp_path_factory):
     config = folder / "scenario.ini"
     config.write_text(text)
     for command in ("run", "measure"):
-        code, err = main_with_stderr([command, "--config", str(config), "--output", str(folder / "report.txt")])
+        report = folder / "report.txt"
+        code, err = main_with_stderr([command, "--config", str(config), "--output", str(report)])
         assert code in (0, 3)
         if code == 3:
             assert err and all(NAMES_A_KEY.search(line) for line in err.splitlines()), err
+        elif command == "measure":
+            lines = report.read_text().splitlines()
+            rows = lines[lines.index(f"{'x_k':>15}  {'measure':>15}") + 1 :]
+            assert all(math.isfinite(float(row.split()[1])) for row in rows), rows
+
+
+# B^2 / (4 (A + alpha)) + C + gamma passes 1e308 per m^2: Q left the doubles,
+# and both windows printed nan
+Q_OVERFLOW = """[scenario]
+initial_dx_m = 3e-155
+evolution_time_s = 1e-30
+disable_decoherence = true
+
+[particle]
+mass_kg = 1e250
+
+[environment]
+number_density_per_m3 = 1.0
+cross_section_m2 = 1e-30
+relative_velocity_m_s = 1.0
+rms_wavenumber_per_m = 1.0
+
+[observation]
+centers_m = 0.0, 1e-155
+alpha_per_m2 = 0.0
+gamma_per_m2 = 1e308
+"""
+
+
+def test_measure_reports_the_value_where_q_overflows(tmp_path):
+    config = tmp_path / "overflow.ini"
+    config.write_text(Q_OVERFLOW)
+    report = tmp_path / "profile.csv"
+    assert main(["measure", "--config", str(config), "--format", "csv", "--output", str(report)]) == 0
+    # a 60-digit evaluation gives 1.293993278 and 1.264247632
+    assert report.read_text().splitlines()[-2:] == ["0.00000000e+00,1.29399328e+00", "1.00000000e-155,1.26424763e+00"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import o1_states
@@ -192,6 +193,16 @@ TINY = GaussianDensityMatrix(2.0**-1040, 0.0, 2.0**-1040)
             ObservationOperator(0.0, 0.0, 6e-173), GaussianDensityMatrix(7.89e-321, -3.1e-175, 7.89e-321),
             id="b-squared-underflow",
         ),
+        # Q = 1e308 + 1e308 overflows, so inf / inf read nan; the value is sqrt(2)
+        pytest.param(ObservationOperator(0.0, 0.0, 1e308), GaussianDensityMatrix(1e308, 0.0, 1e308), id="q-overflow"),
+        # B^2 / (4 (A + alpha)) = 2.5e319 overflows on its own and read nan
+        pytest.param(
+            ObservationOperator(0.5, 0.0, 1.0), GaussianDensityMatrix(1.0, 1e160, 1.0), id="b-squared-overflow"
+        ),
+        # A + alpha = 2e308 overflows: pi C / ((A + alpha) Q) read 0, and the measure 0 for 1e-154
+        pytest.param(
+            ObservationOperator(0.0, 1e308, 1.0), GaussianDensityMatrix(1e308, 0.0, 1.0), id="a-plus-alpha-overflow"
+        ),
     ],
 )
 def test_measure_keeps_an_exponent_whose_products_leave_the_range(op, state):
@@ -207,10 +218,52 @@ def test_measure_keeps_an_exponent_whose_centre_squared_overflows():
     assert measure(op, state) == pytest.approx(mp_measure(op, state), rel=1e-13, abs=0.0)
 
 
-def test_measure_is_nan_where_q_overflows():
-    # Q = 1e308 + 1e308 leaves the doubles; the measure is left undefined
-    op, state = ObservationOperator(0.0, 0.0, 1e308), GaussianDensityMatrix(1e308, 0.0, 1e308)
-    assert math.isnan(measure(op, state))
+def _binary(low, high, sign=False):
+    """Doubles m 2^e, m in [0.5, 1), e in [low, high]; signed if asked."""
+    magnitude = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(low, high))
+    return st.builds(lambda s, m: s * m, st.sampled_from((-1.0, 1.0) if sign else (1.0,)), magnitude)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    c=_binary(-500, 500),
+    a_over_c=_binary(1, 60),
+    b=st.just(0.0) | _binary(-500, 500, sign=True),
+    alpha=st.just(0.0) | _binary(-500, 500),
+    gamma=_binary(-500, 500),
+    window=st.none() | st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 9.0)),
+)
+def test_measure_is_the_one_expression_form_wherever_it_stays_normal(c, a_over_c, b, alpha, gamma, window):
+    # a power-of-two scale is exact, so measure on the significands must
+    # give the direct form's bits wherever each of its steps is a normal
+    # double; a zero B or centre makes its own steps exactly 0
+    a = c * a_over_c
+    denom = a + alpha
+    b_term = b * b / (4.0 * denom)
+    q_minus_gamma = c + b_term
+    q = q_minus_gamma + gamma
+    steps = [a, denom, 4.0 * denom, q_minus_gamma, q]
+    if b:
+        steps += [b * b, b_term]
+    assume(all(sys.float_info.min <= abs(x) < math.inf for x in steps))
+    center = 0.0
+    if window is not None:
+        # a centre where the Gaussian's exponent is about -2**log2_e, so that
+        # exp shows that exponent's last bits
+        sign, log2_e = window
+        half = (log2_e + math.log2(q) - math.log2(gamma) - math.log2(q_minus_gamma) - 2.0) / 2.0
+        assume(abs(half) < 1000.0)
+        center = sign * 2.0**half
+    op, state = ObservationOperator(center, alpha, gamma), GaussianDensityMatrix(a, b, c)
+    scaled = -4.0 * gamma * q_minus_gamma
+    exponent = scaled * (center * center) / q
+    ratio = math.pi * c / (denom * q)
+    prefactor = op.norm * math.sqrt(ratio)
+    steps += [scaled, gamma / math.pi, op.norm, math.pi * c, denom * q, ratio, math.sqrt(ratio), prefactor]
+    if center:
+        steps += [center * center, scaled * (center * center), exponent]
+    assume(all(sys.float_info.min <= abs(x) < math.inf for x in steps))
+    assert measure(op, state) == prefactor * math.exp(exponent)
 
 
 def test_profile_singleton_matches_measure():

@@ -20,7 +20,7 @@ from decogauss.oracle import (
     GridState,
     _ROW_BLOCK,
     _hermiticity_error,
-    _peak_modulus,
+    _peak,
     _reflection_error,
     discretize,
     eigendecompose_kernel,
@@ -99,7 +99,11 @@ def test_peak_and_reflection_guards_are_the_direct_expressions(n):
     # expression over the whole grid, at sizes on and off the block size
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert _peak_modulus(values) == float(np.max(np.abs(values)))
+    # the peak's location is its first occurrence in row-major order, here
+    # with a copy of the peak placed in the last row of the last block
+    row, col = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    values[-1, -1] = values[row, col]
+    assert _peak(values) == (float(np.max(np.abs(values))), int(row), int(col))
     assert _reflection_error(values) == float(np.max(np.abs(values - values[::-1, ::-1])))
 
 
@@ -628,7 +632,9 @@ def test_one_nan_reaches_every_blockwise_guard(row, col):
     grid = spanning_grid(MIXED, n_points=256)
     values = grid.values.copy()
     values[row, col] = math.nan
-    for guard in (_peak_modulus, _hermiticity_error, _reflection_error):
+    with pytest.raises(ValueError, match=r"^grid is not finite: peak modulus nan$"):
+        _peak(values)
+    for guard in (_hermiticity_error, _reflection_error):
         assert math.isnan(guard(values))
     broken = GridState(grid.x_min, grid.x_max, values)
     for call in (
