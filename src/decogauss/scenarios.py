@@ -13,12 +13,13 @@ report's discrepancy ledger.
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .averaging import phase_average
@@ -252,8 +253,9 @@ class ScenarioEvolution:
 def _naming(source, *names: str):
     """Re-raise the block's ValueError as "name = value[, ...]: message",
     reading the values only then: a flag "--X" from parsed arguments, or a
-    key "section.key", or each set key of a bare "section", from a Scenario
-    through _KEYS, in table order."""
+    key "section.key", or each set key of a bare "section", from a Scenario,
+    or a namespace of the values a config set shaped like one, through
+    _KEYS, in table order."""
     try:
         yield
     except ValueError as exc:
@@ -567,10 +569,60 @@ _SECTIONS = {
 }
 
 
-def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+# configparser's section header: "[a] x" is section "a", "[ a ]" is " a "
+_HEADER = re.compile(r"\[(.+)\]")
+
+
+def _parse_config(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}}, read as configparser reads it with
+    interpolation off, "=" the only delimiter, key case kept, no default
+    section and strict duplicates.  Lines end at "\n" only.  A line whose
+    first non-blank character is "#" or ";" is a comment; a key line splits
+    at its first "="; a line indented deeper than its key line continues
+    that value, joined with "\n", blank lines inside it kept.  Any other
+    line raises ConfigError naming it."""
+    sections: dict[str, dict[str, list[str]]] = {}
+    keys = key = None
+    key_indent = 0
+    for number, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")):
+            continue
+        if not stripped:
+            if key is not None:
+                keys[key].append("")
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key is not None and indent > key_indent:
+            keys[key].append(stripped)
+            continue
+        header = _HEADER.match(stripped)
+        if header:
+            if header.group(1) in sections:
+                raise ConfigError(f"line {number} repeats a section: {line!r}")
+            keys = sections[header.group(1)] = {}
+            key = None
+            continue
+        if keys is None:
+            raise ConfigError(f"line {number} comes before any [section] header: {line!r}")
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip()
+        if not (equals and key):
+            raise ConfigError(f"line {number} is neither a [section] header nor a key = value line: {line!r}")
+        if key in keys:
+            raise ConfigError(f"line {number} repeats a key: {line!r}")
+        keys[key] = [value.lstrip()]
+        key_indent = indent
+    return {
+        section: {key: "\n".join(lines).rstrip() for key, lines in values.items()}
+        for section, values in sections.items()
+    }
+
+
+def _read_section(sections: dict[str, dict[str, str]], section: str) -> dict:
     """The section's keys parsed into keyword arguments, in table order; an
     absent section has no keys, so its required ones are reported missing."""
-    values = parser[section] if parser.has_section(section) else {}
+    values = sections.get(section, {})
     cls = _SECTIONS[section]
     required = {field.name for field in fields(cls) if field.default is MISSING} if cls else ()
     kwargs = {}
@@ -588,44 +640,43 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
     return kwargs
 
 
+def _build(sections: dict[str, dict[str, str]], section: str):
+    """The section's dataclass; a value it rejects names the section's set keys."""
+    kwargs = _read_section(sections, section)
+    with _naming(SimpleNamespace(**{section: SimpleNamespace(**kwargs)}), section):
+        return _SECTIONS[section](**kwargs)
+
+
 def load_scenario(config_text: str) -> Scenario:
     """Parse and validate flat key-value config text with [section] headers.
 
     Keys carry their units in their names.  Text that does not parse, a
     value that does not convert, an unknown, missing or doubly supplied key
     raise ConfigError naming it; a value its constructor rejects raises
-    ValueError.
+    ValueError naming its section's keys and their values.
     """
-    # keys carry units in their names, so keep their case; no section can be
-    # named "", so [DEFAULT] is an ordinary section whose keys are not copied
-    # into the others and are reported as unknown under its own name
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
-    parser.optionxform = str
-    try:
-        parser.read_string(config_text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-
+    sections = _parse_config(config_text)
     known = {(section, key) for section, key, _, _ in _KEYS}
     unknown = [
         f"{section}.{key}"
-        for section in parser.sections()
-        for key in parser[section]
+        for section, keys in sections.items()
+        for key in keys
         if (section, key) not in known
     ]
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
-    settings = _read_section(parser, "scenario")
-    particle = FreeParticle(**_read_section(parser, "particle"))
-    has_air = parser.has_section("air")
-    if has_air == parser.has_section("environment"):
+    given = _read_section(sections, "scenario")
+    settings = dict(given)
+    particle = _build(sections, "particle")
+    has_air = "air" in sections
+    if has_air == ("environment" in sections):
         if has_air:
             raise ConfigError("config supplies both an [air] and an [environment] block")
         raise ConfigError("missing required config key: air or environment section")
     for section in ("air", "environment", "observation"):
-        if parser.has_section(section):
-            settings[section] = _SECTIONS[section](**_read_section(parser, section))
+        if section in sections:
+            settings[section] = _build(sections, section)
     if has_air and particle.radius is None:
         raise ConfigError("missing required config key: particle.radius_m")
 
@@ -636,7 +687,7 @@ def load_scenario(config_text: str) -> Scenario:
         # checked before Scenario sees it in meters, so the message names this key
         dx_m = dx_planck * PLANCK_LENGTH
         if not (math.isfinite(dx_m) and dx_m > 0.0):
-            raw = parser["scenario"]["initial_dx_planck_lengths"]
+            raw = sections["scenario"]["initial_dx_planck_lengths"]
             raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")
         settings["initial_dx_m"] = dx_m
     elif "initial_dx_m" not in settings:
@@ -645,7 +696,8 @@ def load_scenario(config_text: str) -> Scenario:
         if "speed_m_s" not in settings:
             raise ConfigError("missing required config key: scenario.evolution_time_s")
         settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
-    return Scenario(particle=particle, **settings)
+    with _naming(SimpleNamespace(**given), "scenario"):
+        return Scenario(particle=particle, **settings)
 
 
 # ---------------------------------------------------------------------------

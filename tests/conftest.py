@@ -1,9 +1,20 @@
+import contextlib
 import os
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
 
 from decogauss.evolution import GaussianDensityMatrix
+
+# A failing property test makes hypothesis import this module to print its
+# patch hint; where libcst is installed, that import raises a
+# DeprecationWarning, which pyproject.toml's filterwarnings turns into an
+# INTERNALERROR ending the whole run.  Imported here once with the warning
+# ignored, it is cached by the time a test fails.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # the environment of every test subprocess: src/ leads PYTHONPATH, so a child
 # imports this checkout's package whether or not one is installed

@@ -607,13 +607,16 @@ def run_cli_without_numpy(*args):
 
 
 def test_import_loads_no_numpy():
+    """Nor does reading a config load configparser."""
     code = (
-        "import sys, decogauss, decogauss.cli; "
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+        "import pathlib, sys, decogauss, decogauss.cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))); "
+        f"decogauss.scenarios.load_scenario(pathlib.Path({ENVIRONMENT!r}).read_text()); "
+        "print('configparser' in sys.modules)"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\nFalse\n"
 
 
 ENVIRONMENT = str(GOLDEN / "environment.ini")

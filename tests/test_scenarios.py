@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import hashlib
 import json
@@ -398,10 +399,61 @@ def test_default_section_keys_are_reported_under_default():
 
 
 def test_parse_error_on_garbage():
-    with pytest.raises(ConfigError, match=r"^File contains no section headers\.\nfile: '<string>', line: 1\n"):
+    with pytest.raises(ConfigError, match=r"^line 1 comes before any \[section\] header: 'this is not a config'$"):
         load_scenario("this is not a config\n")
     with pytest.raises(ConfigError, match=r"^value of particle\.mass_kg is not a number: 'not_a_number'$"):
         load_scenario("[particle]\nmass_kg = not_a_number\n[air]\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[particle]\nmass_kg = 1\n= 2\n", "line 3 is neither a [section] header nor a key = value line: '= 2'"),
+        ("[particle]\n\nmass_kg 1\n", "line 3 is neither a [section] header nor a key = value line: 'mass_kg 1'"),
+        ("[particle]\nmass_kg = 1\n[air]\n [particle] \n", "line 4 repeats a section: ' [particle] '"),
+        ("[particle]\nmass_kg = 1\n  more\nmass_kg=2\n", "line 4 repeats a key: 'mass_kg=2'"),
+    ],
+    ids=["empty_key", "no_equals", "repeated_section", "repeated_key"],
+)
+def test_unreadable_line_named_by_number(text, message):
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario(text)
+    assert str(excinfo.value) == message
+
+
+def configparser_sections(text):
+    """The reference reading: configparser with load_scenario's grammar."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
+    parser.optionxform = str
+    parser.read_string(text)
+    return {section: dict(parser[section]) for section in parser.sections()}
+
+
+# line pieces on which a hand-written reader can part from configparser:
+# "\r", "\x0b" and "\x85" are whitespace to str.strip but end no line
+CONFIG_LINES = st.builds(
+    lambda indent, body, end: indent + body + end,
+    st.sampled_from(["", " ", "  ", "\t", "\x0b"]),
+    st.sampled_from([
+        "[a]", "[ a ]", "[a] x", "[a]]", "[]", "[b]", "[DEFAULT]",
+        "k = v", "k=v", "m = a=b", "= v", "k =", "K = w",
+        "", "# c", "; c", "word", "a\rb", "k = a\x0bb", "k\r= v", "[a\x0b]",
+    ]),
+    st.sampled_from(["", " ", "\r", "\x0b", "\x85"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(header=st.booleans(), lines=st.lists(CONFIG_LINES, max_size=12))
+def test_config_reader_matches_configparser(header, lines):
+    text = "\n".join(["[a]"] * header + lines)
+    try:
+        expected = configparser_sections(text)
+    except configparser.Error:
+        with pytest.raises(ConfigError):
+            scenarios._parse_config(text)
+    else:
+        assert scenarios._parse_config(text) == expected
 
 
 def test_non_numeric_value_rejected():
@@ -481,6 +533,32 @@ def test_invariant_violation_is_value_error():
     )
     with pytest.raises(ValueError):
         load_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "mass_kg = 1e-14\nradius_m = 1e-6",
+            "mass_kg = -2.0",
+            "particle.mass_kg = -2.0: mass must be positive and finite, got -2.0",
+        ),
+        (
+            "sample_times_s = 0.0, 0.25, 1.0, 2.0",
+            "sample_times_s = 0.0, -1.0",
+            "scenario.name = 'dust-grain', scenario.initial_dx_m = 1e-09, scenario.evolution_time_s = 2.0,"
+            " scenario.sample_times_s = (0.0, -1.0):"
+            " sample_times_s must be nonempty, finite and nonnegative, got (0.0, -1.0)",
+        ),
+    ],
+    ids=["particle", "scenario"],
+)
+def test_rejected_value_names_its_section_keys(old, new, message):
+    text = (GOLDEN / "environment.ini").read_text()
+    assert old in text
+    with pytest.raises(ValueError) as excinfo:
+        load_scenario(text.replace(old, new))
+    assert str(excinfo.value) == message
 
 
 # --- emission -----------------------------------------------------------------------
