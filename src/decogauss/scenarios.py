@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
+from operator import add
+from types import NoneType, SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .averaging import phase_average
@@ -249,16 +250,23 @@ class ScenarioEvolution:
     state_si: GaussianDensityMatrix  # 1/m^2
 
 
-@contextmanager
-def _naming(source, *names: str):
-    """Re-raise the block's ValueError as "name = value[, ...]: message",
-    reading the values only then: a flag "--X" from parsed arguments, or a
-    key "section.key", or each set key of a bare "section", from a Scenario,
-    or a namespace of the values a config set shaped like one, through
-    _KEYS, in table order."""
-    try:
-        yield
-    except ValueError as exc:
+class _naming:
+    """A with block that re-raises its ValueError as "name = value[, ...]:
+    message", reading the values only then: a flag "--X" from parsed
+    arguments, or a key "section.key", or each set key of a bare "section",
+    from a Scenario, or a namespace of the values a config set shaped like
+    one, through _KEYS, in table order."""
+
+    def __init__(self, source, *names: str):
+        self.source, self.names = source, names
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is None or not issubclass(kind, ValueError):
+            return False
+        source, names = self.source, self.names
         pairs = [f"{name} = {getattr(source, name[2:])!r}" for name in names if name.startswith("--")]
         for section, key, field, _ in _KEYS:
             if section in names or f"{section}.{key}" in names:
@@ -454,12 +462,13 @@ def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow
     particle, cubic = evolution.scenario.particle, evolution.cubic
     rows = []
     for t in times:
-        tau_t = tau_from_time(t, particle) / _AREA
+        tau_si = tau_from_time(t, particle)
+        tau_t = tau_si / _AREA
         state_t = evolve(cubic, tau_t)
         rows.append(
             TrajectoryRow(
                 t,
-                tau_t * _AREA,
+                tau_si,
                 position_variance(cubic, tau_t) * _AREA,
                 momentum_variance(cubic, tau_t) / _AREA,
                 state_t.a_coeff / _AREA,
@@ -680,6 +689,7 @@ def load_scenario(config_text: str) -> Scenario:
     if has_air and particle.radius is None:
         raise ConfigError("missing required config key: particle.radius_m")
 
+    written = SimpleNamespace(**given)
     dx_planck = settings.pop("initial_dx_planck_lengths", None)
     if dx_planck is not None:
         if "initial_dx_m" in settings:
@@ -688,88 +698,157 @@ def load_scenario(config_text: str) -> Scenario:
         dx_m = dx_planck * PLANCK_LENGTH
         if not (math.isfinite(dx_m) and dx_m > 0.0):
             raw = sections["scenario"]["initial_dx_planck_lengths"]
-            raise ValueError(f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}")
+            with _naming(written, "scenario.initial_dx_planck_lengths"):
+                raise ValueError(
+                    f"initial_dx_planck_lengths must give a positive, finite length in meters, got {raw}"
+                )
         settings["initial_dx_m"] = dx_m
     elif "initial_dx_m" not in settings:
         raise ConfigError("missing required config key: scenario.initial_dx_m")
     if "evolution_time_s" not in settings:
         if "speed_m_s" not in settings:
             raise ConfigError("missing required config key: scenario.evolution_time_s")
-        settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
-    with _naming(SimpleNamespace(**given), "scenario"):
+        with _naming(written, "scenario.speed_m_s"):
+            settings["evolution_time_s"] = flight_time(settings["speed_m_s"])
+    with _naming(written, "scenario"):
         return Scenario(particle=particle, **settings)
 
 
 # ---------------------------------------------------------------------------
 # emission
+#
+# Each section is spelled by one % call over all of its rows.  A format gives
+# each column a piece: one conversion, with the separator and padding before
+# it, "%s" for a str cell and the format's number spelling for a number, so a
+# row's template is its pieces joined.
 
-def _fmt(value: Optional[float], spec: str = ".8e") -> str:
-    """A text or CSV cell; "+ 0.0" normalizes -0.0."""
-    return "" if value is None else format(value + 0.0, spec)
+# each section's columns, with their kinds: "id" (a name or a unit), "text"
+# (prose, quoted in CSV), "num" or "dev" (a deviation, at 3 digits).  The
+# column names are the CSV headers and the JSON keys.
+_COLUMNS = {
+    "scalars": {"name": "id", "value": "num", "unit": "id", "reference": "num", "deviation": "dev"},
+    "trajectory": dict.fromkeys(("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), "num"),
+    "discrepancies": {"description": "text", "stated": "text", "computed": "num"},
+    "profile": {"x_k": "num", "measure": "num"},
+}
+# the sections whose rows hold str cells, and so the only ones that may hold None
+_PROSE = {section for section, columns in _COLUMNS.items() if {"id", "text"} & set(columns.values())}
 
 
-def _sections(report: Report, num=_fmt, dev=partial(_fmt, spec=".2e"), text=str):
-    """The one walk over a report: (section, column names, rows of cells)
-    for each section, in emission order, each cell spelled by ``num``,
-    ``dev`` (deviations) or ``text``.  The column names are the CSV headers
-    and the JSON keys."""
-    yield "scalars", ("name", "value", "unit", "reference", "deviation"), [
-        (text(row.name), num(row.value), text(row.unit), num(row.reference), dev(row.deviation))
-        for row in report.scalars
+def _sections(report: Report, text=str):
+    """The one walk over a report: (section, rows) for each section, in
+    emission order.  A row is a tuple of cells in _COLUMNS order: a str
+    readied for its format by ``text``, or a number, or None for an absent
+    number, which only sections with str cells have."""
+    yield "scalars", [
+        (text(row.name), row.value, text(row.unit), row.reference, row.deviation) for row in report.scalars
     ]
-    yield "trajectory", ("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), [
-        tuple(map(num, row)) for row in report.trajectory
+    yield "trajectory", report.trajectory
+    yield "discrepancies", [
+        (text(entry.description), text(entry.stated), entry.computed) for entry in report.discrepancies
     ]
-    yield "discrepancies", ("description", "stated", "computed"), [
-        (text(entry.description), text(entry.stated), num(entry.computed))
-        for entry in report.discrepancies
-    ]
-    yield "profile", ("x_k", "measure"), [(num(x_k), num(value)) for x_k, value in report.profile]
+    yield "profile", report.profile
 
 
-# exponents at which format(v, ".9g") or ".3g" and float repr spell the same
-# number differently: repr writes [1e-4, 1e16) in fixed notation, and a
-# subnormal, or a rounding past the largest double, has other digits
+@cache  # only this module's number pieces reach it: a handful of keys
+def _blank(piece: str) -> str:
+    """What a None cell writes for a number's piece: the piece spelling ""
+    in its conversion's width."""
+    return re.sub(r"\.\d+[eg]", "s", piece) % ""
+
+
+def _spell(rows, pieces, sep: str, prose: bool = False) -> str:
+    """The rows joined by ``sep``, spelled by one % call: ``pieces[i]``
+    writes cell i, and 0.0 is added to every number so that -0.0 spells as
+    0.0.  In a section of numbers only, every row takes all the pieces.  In
+    one with str cells (``prose``), a None cell writes its piece spelling ""
+    instead: each row's template is chosen by the types of its cells."""
+    if not prose:
+        template = sep.join(["".join(pieces)] * len(rows))
+        return template % tuple(map(add, chain.from_iterable(rows), repeat(0.0)))
+    templates, lines, cells = {}, [], []
+    for row in rows:
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = "".join(
+                [_blank(piece) if kind is NoneType else piece for piece, kind in zip(pieces, shape)]
+            )
+        lines.append(templates[shape])
+        cells += row
+    return sep.join(lines) % tuple(
+        [cell if cell.__class__ is str else cell + 0.0 for cell in cells if cell is not None]
+    )
+
+
+# JSON spells a number between two NULs, which no escaped str holds, so the
+# numbers float repr spells otherwise can be found and respelled.  At these
+# exponents format and float repr spell the same number differently: repr
+# writes [1e-4, 1e16) in fixed notation, and a subnormal, or a rounding past
+# the largest double, has other digits
+_JSON_CONVERSION = {"id": "%s", "text": "%s", "num": "\0%.9g\0", "dev": "\0%.3g\0"}
 _RESPELL = frozenset(f"e{exponent:+03d}" for exponent in (*range(-324, -306), *range(-4, 16), 308))
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "": "null"}
+# the last five characters of each number cell that keeps its spelling: a
+# digit and a two-digit exponent, or a three-digit exponent, not in _RESPELL
+_JSON_KEPT = frozenset(
+    tail
+    for exponent in range(-324, 309)
+    if (suffix := f"e{exponent:+03d}") not in _RESPELL
+    for tail in ([digit + suffix for digit in "0123456789"] if len(suffix) == 4 else [suffix])
+)
+_JSON_PIECES = {
+    section: [
+        ("," if i else "    {")
+        + f'\n      "{column}": {_JSON_CONVERSION[kind]}'
+        + ("\n    }" if i == len(columns) - 1 else "")
+        for i, (column, kind) in enumerate(columns.items())
+    ]
+    for section, columns in _COLUMNS.items()
+}
 
 
-def _json_num(value: Optional[float], spec: str = ".9g") -> str:
-    """json.dumps(float(_fmt(value))) from one format call; with spec ".3g",
-    the same for _fmt(value, ".2e").  "+ 0.0" normalizes -0.0 as _fmt does."""
-    if value is None:
-        return "null"
-    text = format(value + 0.0, spec)
-    cut = text.find("e")
-    if cut >= 0:
-        if text[cut:] not in _RESPELL:
-            return text
-        text = repr(float(text))
-    elif "." not in text and text not in _JSON_CONSTANTS:
-        return text + ".0"  # an integer in fixed notation
-    return _JSON_CONSTANTS.get(text, text)
+def _json_number(cell: str) -> str:
+    """json.dumps(float(cell)) for a %.9g or %.3g cell whose spelling is not
+    float repr's: an exponent in _RESPELL, an integer or a constant; "" (a
+    None cell) is null."""
+    if "e" in cell:
+        cell = repr(float(cell))
+    elif cell not in _JSON_CONSTANTS:
+        return cell + ".0"  # an integer in fixed notation
+    return _JSON_CONSTANTS.get(cell, cell)
 
 
 def _emit_json(report: Report) -> bytes:
     """The bytes of json.dumps(payload, indent=2) + "\n", where payload maps
     "scenario" to the name and each section to a list of {column: cell}."""
     parts = ['{\n  "scenario": ' + encode_basestring_ascii(report.scenario_name)]
-    dev = partial(_json_num, spec=".3g")
-    for section, columns, rows in _sections(report, _json_num, dev, encode_basestring_ascii):
-        entry = "    {\n" + ",\n".join(f'      "{column}": %s' for column in columns) + "\n    }"
-        items = ",\n".join([entry % row for row in rows])
-        parts.append(f',\n  "{section}": ' + (f"[\n{items}\n  ]" if rows else "[]"))
+    for section, rows in _sections(report, encode_basestring_ascii):
+        if not rows:
+            parts.append(f',\n  "{section}": []')
+            continue
+        cells = _spell(rows, _JSON_PIECES[section], ",\n", section in _PROSE).split("\0")
+        # a cell without an exponent is kept when it holds "."
+        cells[1::2] = [
+            cell if cell[-5:] in _JSON_KEPT or ("." in cell and "e" not in cell) else _json_number(cell)
+            for cell in cells[1::2]
+        ]
+        parts.append(f',\n  "{section}": [\n' + "".join(cells) + "\n  ]")
     return ("".join(parts) + "\n}\n").encode()
+
+
+_CSV_CONVERSION = {"id": "%s", "text": '"%s"', "num": "%.8e", "dev": "%.2e"}
+_CSV_PIECES = {
+    section: [("," if i else "") + _CSV_CONVERSION[kind] for i, kind in enumerate(columns.values())]
+    for section, columns in _COLUMNS.items()
+}
 
 
 def _emit_csv(report: Report) -> bytes:
     lines = [f"# scenario: {report.scenario_name}"]
-    for section, columns, rows in _sections(report):
-        lines.append(f"# section: {section}")
-        lines.append(",".join(columns))
-        if section == "discrepancies":
-            rows = [(f'"{description}"', f'"{stated}"', computed) for description, stated, computed in rows]
-        lines.extend(",".join(row) for row in rows)
+    for section, rows in _sections(report):
+        lines += [f"# section: {section}", ",".join(_COLUMNS[section])]
+        if rows:
+            lines.append(_spell(rows, _CSV_PIECES[section], "\n", section in _PROSE))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -778,23 +857,21 @@ _TEXT_TITLES = {"trajectory": "trajectory (SI):", "profile": "observation profil
 
 def _emit_text(report: Report) -> bytes:
     lines = [f"scenario: {report.scenario_name or '(unnamed)'}"]
-    for section, columns, rows in _sections(report):
+    for section, rows in _sections(report):
         if not rows:
             continue
         lines.append("")
-        if section == "discrepancies":
-            lines.append("known discrepancies of the published description:")
-            for description, stated, computed in rows:
-                lines += [f"- {description}", f"    stated:   {stated}", f"    computed: {computed}"]
-            continue
         if section == "scalars":
             name_w = max(len(row[0]) for row in rows)
-            line = f"{{:<{name_w}}}  {{:>15}}  {{:<10}} {{:>15}}  {{:>9}}".format
-            lines.append(line("quantity", *columns[1:]))
+            lines.append(f"{'quantity':<{name_w}}  {'value':>15}  {'unit':<10} {'reference':>15}  {'deviation':>9}")
+            lines.append(_spell(rows, (f"%-{name_w}s", "  %15.8e", "  %-10s", " %15.8e", "  %9.2e"), "\n", True))
+        elif section == "discrepancies":
+            lines.append("known discrepancies of the published description:")
+            lines.append(_spell(rows, ("- %s", "\n    stated:   %s", "\n    computed: %.8e"), "\n", True))
         else:
-            line = "  ".join(["{:>15}"] * len(columns)).format
-            lines += [_TEXT_TITLES[section], line(*columns)]
-        lines.extend(line(*row) for row in rows)
+            columns = _COLUMNS[section]
+            lines += [_TEXT_TITLES[section], "  ".join(f"{column:>15}" for column in columns)]
+            lines.append(_spell(rows, ("%15.8e", *["  %15.8e"] * (len(columns) - 1)), "\n"))
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -179,6 +179,19 @@ def test_bad_speed_exits_3_naming_the_key(command, tmp_path, capsys):
     assert "speed_m_s" in capsys.readouterr().err
 
 
+def test_bad_speed_deriving_the_flight_time_exits_3_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "speed.ini"
+    config.write_text(
+        dump_scenario(baseball_scenario())
+        .replace("evolution_time_s = 6.446748185397342\n", "")
+        .replace("speed_m_s = 44.704", "speed_m_s = -5.0")
+    )
+    assert main(["run", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: scenario.speed_m_s = -5.0: speed_m_s must be positive and finite, got -5.0\n"
+    )
+
+
 @pytest.mark.parametrize("via", ["in_process", "cli"])
 @pytest.mark.parametrize("command", ["run", "measure"])
 @pytest.mark.parametrize(

@@ -16,16 +16,17 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from decogauss import scenarios
-from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment
+from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment, tau_from_time
 from decogauss.scenarios import (
     _KEYS,
-    _fmt,
-    _json_num,
-    _sections,
     ConfigError,
+    DiscrepancyEntry,
     ObservationFamilySpec,
     ProfileRow,
+    Report,
+    ScalarRow,
     Scenario,
+    TrajectoryRow,
     baseball_scenario,
     emit,
     evolve_scenario,
@@ -492,13 +493,32 @@ def test_initial_dx_planck_lengths_key():
 
 
 # 1e-300 Planck lengths is positive but underflows to 0 m
-@pytest.mark.parametrize("bad", ["-1", "nan", "1e400", "0", "1e-300"])
-def test_bad_initial_dx_planck_lengths_named_as_written(bad):
+@pytest.mark.parametrize(
+    "bad, value",
+    [("-1", "-1.0"), ("nan", "nan"), ("1e400", "inf"), ("0", "0.0"), ("1e-300", "1e-300")],
+    ids=["-1", "nan", "1e400", "0", "1e-300"],
+)
+def test_bad_initial_dx_planck_lengths_named_as_written(bad, value):
     text = dump_scenario(baseball_scenario()).replace(
         "initial_dx_m = 8.081275e-36", f"initial_dx_planck_lengths = {bad}"
     )
-    with pytest.raises(ValueError, match=rf"^initial_dx_planck_lengths .*, got {bad}$"):
+    with pytest.raises(ValueError) as excinfo:
         load_scenario(text)
+    assert str(excinfo.value) == (
+        f"scenario.initial_dx_planck_lengths = {value}:"
+        f" initial_dx_planck_lengths must give a positive, finite length in meters, got {bad}"
+    )
+
+
+def test_bad_speed_deriving_the_flight_time_named_as_written():
+    text = (
+        dump_scenario(baseball_scenario())
+        .replace("evolution_time_s = 6.446748185397342\n", "")
+        .replace("speed_m_s = 44.704", "speed_m_s = -5.0")
+    )
+    with pytest.raises(ValueError) as excinfo:
+        load_scenario(text)
+    assert str(excinfo.value) == "scenario.speed_m_s = -5.0: speed_m_s must be positive and finite, got -5.0"
 
 
 def test_both_dx_keys_ambiguous():
@@ -598,22 +618,41 @@ def test_json_round_trips_at_nine_digits(baseball_report):
     assert entropy["value"] == pytest.approx(60.9853331, rel=1e-8)
 
 
-def _parsed(cell):
-    return float(cell) if cell else None
+def _cell(value, spec=".8e"):
+    """A text or CSV number cell spelled on its own; "+ 0.0" normalizes -0.0."""
+    return "" if value is None else format(value + 0.0, spec)
+
+
+def _parsed(value, spec=".8e"):
+    """The float a JSON number cell holds: the value at the text cell's digits."""
+    return None if value is None else float(_cell(value, spec))
 
 
 def _json_dumps_reference(report):
-    """The JSON report as json.dumps writes it from the text walk's cells,
-    each number cell parsed back into a float."""
-    payload = {"scenario": report.scenario_name}
-    for section, columns, rows in _sections(report):
-        payload[section] = [
+    """The JSON report as json.dumps writes it, each number parsed back
+    from its text cell."""
+    payload = {
+        "scenario": report.scenario_name,
+        "scalars": [
             {
-                column: cell if column in ("name", "unit", "description", "stated") else _parsed(cell)
-                for column, cell in zip(columns, row)
+                "name": row.name,
+                "value": _parsed(row.value),
+                "unit": row.unit,
+                "reference": _parsed(row.reference),
+                "deviation": _parsed(row.deviation, ".2e"),
             }
-            for row in rows
-        ]
+            for row in report.scalars
+        ],
+        "trajectory": [
+            dict(zip(("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), map(_parsed, row)))
+            for row in report.trajectory
+        ],
+        "discrepancies": [
+            {"description": entry.description, "stated": entry.stated, "computed": _parsed(entry.computed)}
+            for entry in report.discrepancies
+        ],
+        "profile": [{"x_k": _parsed(x_k), "measure": _parsed(value)} for x_k, value in report.profile],
+    }
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
@@ -626,20 +665,43 @@ _SPELLED = [
 ]
 
 
-def _assert_spelled_as_json_dumps(value):
-    assert _json_num(value) == json.dumps(_parsed(_fmt(value)))
-    assert _json_num(value, ".3g") == json.dumps(_parsed(_fmt(value, ".2e")))
+def _assert_spelled_one_cell_at_a_time(value):
+    """A report holding ``value`` in every number cell, or None in every
+    cell that may be None, spells each cell as the cell spelled on its own:
+    JSON as json.dumps, text and CSV as format(value + 0.0, ".8e")."""
+    number = 0.0 if value is None else value
+    report = Report(
+        "edge",
+        (ScalarRow("x", number, "1", value, value),),
+        (TrajectoryRow(*[number] * 9),),
+        (DiscrepancyEntry("d", "s", value),),
+        (ProfileRow(number, number),),
+    )
+    num, ref, dev = _cell(number), _cell(value), _cell(value, ".2e")
+    assert emit(report, "json") == _json_dumps_reference(report)
+    csv = emit(report, "csv").decode().splitlines()
+    assert [csv[3], csv[6], csv[9], csv[12]] == [
+        f"x,{num},1,{ref},{dev}",
+        ",".join([num] * 9),
+        f'"d","s",{ref}',
+        f"{num},{num}",
+    ]
+    text = emit(report, "text").decode().splitlines()
+    assert f"x  {num:>15}  {'1':<10} {ref:>15}  {dev:>9}" in text
+    assert "  ".join([f"{num:>15}"] * 9) in text
+    assert f"    computed: {ref}" in text
+    assert f"{num:>15}  {num:>15}" in text
 
 
-@pytest.mark.parametrize("value", [sign * v for v in _SPELLED for sign in (1.0, -1.0)])
+@pytest.mark.parametrize("value", [None, *(sign * v for v in _SPELLED for sign in (1.0, -1.0))])
 def test_json_number_spelling_at_the_edges(value):
-    _assert_spelled_as_json_dumps(value)
+    _assert_spelled_one_cell_at_a_time(value)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.none() | st.floats())
 def test_json_number_spelling_property(value):
-    _assert_spelled_as_json_dumps(value)
+    _assert_spelled_one_cell_at_a_time(value)
 
 
 _AWKWARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600 ab') | st.characters(), max_size=16)
@@ -681,6 +743,18 @@ def test_seeded_reports_keep_their_bytes():
         for fmt in ("text", "csv", "json"):
             digest.update(emit(report, fmt))
     assert digest.hexdigest() == _SWEEP_SHA256
+
+
+def test_trajectory_tau_is_tau_from_time():
+    """Each trajectory row's tau is tau_from_time at its time, bit for bit,
+    so a last row at the evolution time repeats the tau_m2 scalar."""
+    for text, samples in sweep(0, 150):
+        scenario = load_scenario(text)
+        report = run(scenario, samples=samples)
+        taus = [row.tau for row in report.trajectory]
+        assert taus == [tau_from_time(row.t_s, scenario.particle) for row in report.trajectory]
+        if report.trajectory[-1].t_s == scenario.evolution_time_s:
+            assert taus[-1] == scalar(report, "tau_m2").value
 
 
 def test_emit_rejects_unknown_format(baseball_report):
