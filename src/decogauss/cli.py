@@ -92,9 +92,11 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    with scenarios._naming(args, "--A", "--B", "--C"):
+    try:
         state = GaussianDensityMatrix(args.A, args.B, args.C)
         summary = spectral_summary(state)
+    except ValueError as exc:
+        raise ValueError(f"--A = {args.A!r}, --B = {args.B!r}, --C = {args.C!r}: {exc}") from None
     payload = {
         "mean_excitation": summary.mean_excitation,
         "entropy_nats": summary.entropy_nats,

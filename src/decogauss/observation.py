@@ -41,11 +41,6 @@ class ObservationOperator:
         _require_nonnegative("alpha", self.alpha)
         _require_positive("gamma", self.gamma)
 
-    @property
-    def norm(self) -> float:
-        """Fixed by unit trace."""
-        return 2.0 * math.sqrt(self.gamma / math.pi)
-
 
 def _add(m_x: float, e_x: int, m_y: float, e_y: int) -> tuple[float, int]:
     """m_x 2^e_x + m_y 2^e_y as a frexp pair, for m_x != 0: the term with the

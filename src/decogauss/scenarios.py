@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
-from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
-from types import NoneType, SimpleNamespace
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .averaging import phase_average
@@ -251,11 +250,10 @@ class ScenarioEvolution:
 
 
 class _naming:
-    """A with block that re-raises its ValueError as "name = value[, ...]:
-    message", reading the values only then: a flag "--X" from parsed
-    arguments, or a key "section.key", or each set key of a bare "section",
-    from a Scenario, or a namespace of the values a config set shaped like
-    one, through _KEYS, in table order."""
+    """A with block that re-raises its ValueError as "key = value[, ...]:
+    message", reading the values only then: a key "section.key", or each set
+    key of a bare "section", from a Scenario, or a namespace of the values a
+    config set shaped like one, through _KEYS, in table order."""
 
     def __init__(self, source, *names: str):
         self.source, self.names = source, names
@@ -267,7 +265,7 @@ class _naming:
         if kind is None or not issubclass(kind, ValueError):
             return False
         source, names = self.source, self.names
-        pairs = [f"{name} = {getattr(source, name[2:])!r}" for name in names if name.startswith("--")]
+        pairs = []
         for section, key, field, _ in _KEYS:
             if section in names or f"{section}.{key}" in names:
                 value = getattr(source if section == "scenario" else getattr(source, section), field, None)
@@ -311,7 +309,10 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     evolution = evolve_scenario(scenario)
-    scalars = _scalar_rows(evolution)
+    # the published values describe the preset's air, so an [environment]
+    # scenario named baseball is compared with nothing
+    baseball = scenario.name == "baseball" and scenario.air is not None
+    scalars = _scalar_rows(evolution, baseball)
     if scenario.sample_times_s is not None:
         times = scenario.sample_times_s
     else:
@@ -319,9 +320,7 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
     with _naming(scenario, "scenario.initial_dx_m", "scenario.evolution_time_s", "particle.mass_kg",
                  "scenario.sample_times_s"):
         trajectory = _trajectory_rows(evolution, times)
-    discrepancies = ()
-    if scenario.name == "baseball" and scenario.air is not None:
-        discrepancies = _discrepancy_ledger({row.name: row.value for row in scalars})
+    discrepancies = _discrepancy_ledger({row.name: row.value for row in scalars}) if baseball else ()
     return Report(
         scenario_name=scenario.name,
         scalars=scalars,
@@ -331,7 +330,9 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
     )
 
 
-def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
+def _scalar_rows(evolution: ScenarioEvolution, baseball: bool) -> tuple[ScalarRow, ...]:
+    """The report's scalar rows; with ``baseball`` each row the preset
+    publishes carries its reference and deviation."""
     scenario, state, cubic = evolution.scenario, evolution.state, evolution.cubic
     particle, env, loc_rate = scenario.particle, evolution.environment, evolution.localization_rate
     lam_si, lam_planck = evolution.lam_si, cubic.lam
@@ -350,12 +351,11 @@ def _scalar_rows(evolution: ScenarioEvolution) -> tuple[ScalarRow, ...]:
     x_planck = position_variance(cubic, tau_planck)
     dp2_planck = momentum_variance(cubic, tau_planck)
 
-    is_baseball = scenario.name == "baseball"
     rows: list[ScalarRow] = []
 
     def add(name: str, value: float, unit: str) -> None:
         reference = deviation = None
-        if is_baseball and name in _BASEBALL_REFERENCES:
+        if baseball and name in _BASEBALL_REFERENCES:
             reference = _BASEBALL_REFERENCES[name][0]
             deviation = (value - reference) / reference
         rows.append(ScalarRow(name, value, unit, reference, deviation))
@@ -717,67 +717,58 @@ def load_scenario(config_text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # emission
 #
-# Each section is spelled by one % call over all of its rows.  A format gives
-# each column a piece: one conversion, with the separator and padding before
-# it, "%s" for a str cell and the format's number spelling for a number, so a
-# row's template is its pieces joined.
+# One walk over a report readies every cell for its format, and each emitter
+# spells a section by one % call over its rows, every row taking the same
+# template.  A format gives each column a piece: one conversion, with the
+# separator and padding before it, so a row's template is its pieces joined.
 
 # each section's columns, with their kinds: "id" (a name or a unit), "text"
-# (prose, quoted in CSV), "num" or "dev" (a deviation, at 3 digits).  The
-# column names are the CSV headers and the JSON keys.
+# (prose, quoted in CSV), "num" (a number), or "opt" (a number that may be
+# absent, which the walk spells, as "" when it is absent).  The column names
+# are the CSV headers and the JSON keys.
 _COLUMNS = {
-    "scalars": {"name": "id", "value": "num", "unit": "id", "reference": "num", "deviation": "dev"},
+    "scalars": {"name": "id", "value": "num", "unit": "id", "reference": "opt", "deviation": "opt"},
     "trajectory": dict.fromkeys(("t_s", "tau", "dx2", "dp2", "A", "B", "C", "N", "S"), "num"),
-    "discrepancies": {"description": "text", "stated": "text", "computed": "num"},
+    "discrepancies": {"description": "text", "stated": "text", "computed": "opt"},
     "profile": {"x_k": "num", "measure": "num"},
 }
-# the sections whose rows hold str cells, and so the only ones that may hold None
-_PROSE = {section for section, columns in _COLUMNS.items() if {"id", "text"} & set(columns.values())}
+# a format's cell spelling: (how a str cell is readied, the conversion of an
+# "opt" column's number, and of a deviation's)
+_PLAIN = (str, "%.8e", "%.2e")  # text and CSV
+_JSON = (encode_basestring_ascii, "%.9g", "%.3g")
 
 
-def _sections(report: Report, text=str):
-    """The one walk over a report: (section, rows) for each section, in
-    emission order.  A row is a tuple of cells in _COLUMNS order: a str
-    readied for its format by ``text``, or a number, or None for an absent
-    number, which only sections with str cells have."""
-    yield "scalars", [
-        (text(row.name), row.value, text(row.unit), row.reference, row.deviation) for row in report.scalars
-    ]
-    yield "trajectory", report.trajectory
-    yield "discrepancies", [
-        (text(entry.description), text(entry.stated), entry.computed) for entry in report.discrepancies
-    ]
-    yield "profile", report.profile
+def _sections(report: Report, spelling=_PLAIN):
+    """The one walk over a report: (section, cells) for each section, in
+    emission order.  The cells are the rows' cells in turn, in _COLUMNS
+    order, each ready for its format's template: a str readied by the
+    format's ``spelling``, a number with -0.0 made 0.0, or in an "opt" column
+    a number spelled by the format's conversion, or "" for an absent one."""
+    text, num, dev = spelling
+    cells = []
+    for row in report.scalars:
+        reference, deviation = row.reference, row.deviation
+        cells += (
+            text(row.name),
+            row.value + 0.0,
+            text(row.unit),
+            "" if reference is None else num % (reference + 0.0),
+            "" if deviation is None else dev % (deviation + 0.0),
+        )
+    yield "scalars", tuple(cells)
+    yield "trajectory", tuple(map(add, chain.from_iterable(report.trajectory), repeat(0.0)))
+    cells = []
+    for entry in report.discrepancies:
+        computed = entry.computed
+        cells += (text(entry.description), text(entry.stated), "" if computed is None else num % (computed + 0.0))
+    yield "discrepancies", tuple(cells)
+    yield "profile", tuple(map(add, chain.from_iterable(report.profile), repeat(0.0)))
 
 
-@cache  # only this module's number pieces reach it: a handful of keys
-def _blank(piece: str) -> str:
-    """What a None cell writes for a number's piece: the piece spelling ""
-    in its conversion's width."""
-    return re.sub(r"\.\d+[eg]", "s", piece) % ""
-
-
-def _spell(rows, pieces, sep: str, prose: bool = False) -> str:
-    """The rows joined by ``sep``, spelled by one % call: ``pieces[i]``
-    writes cell i, and 0.0 is added to every number so that -0.0 spells as
-    0.0.  In a section of numbers only, every row takes all the pieces.  In
-    one with str cells (``prose``), a None cell writes its piece spelling ""
-    instead: each row's template is chosen by the types of its cells."""
-    if not prose:
-        template = sep.join(["".join(pieces)] * len(rows))
-        return template % tuple(map(add, chain.from_iterable(rows), repeat(0.0)))
-    templates, lines, cells = {}, [], []
-    for row in rows:
-        shape = tuple(map(type, row))
-        if shape not in templates:
-            templates[shape] = "".join(
-                [_blank(piece) if kind is NoneType else piece for piece, kind in zip(pieces, shape)]
-            )
-        lines.append(templates[shape])
-        cells += row
-    return sep.join(lines) % tuple(
-        [cell if cell.__class__ is str else cell + 0.0 for cell in cells if cell is not None]
-    )
+def _spell(cells: tuple, pieces, sep: str) -> str:
+    """The rows of ``cells`` joined by ``sep``, spelled by one % call:
+    ``pieces[i]`` writes cell i of every row."""
+    return sep.join(["".join(pieces)] * (len(cells) // len(pieces))) % cells
 
 
 # JSON spells a number between two NULs, which no escaped str holds, so the
@@ -785,7 +776,7 @@ def _spell(rows, pieces, sep: str, prose: bool = False) -> str:
 # exponents format and float repr spell the same number differently: repr
 # writes [1e-4, 1e16) in fixed notation, and a subnormal, or a rounding past
 # the largest double, has other digits
-_JSON_CONVERSION = {"id": "%s", "text": "%s", "num": "\0%.9g\0", "dev": "\0%.3g\0"}
+_JSON_CONVERSION = {"id": "%s", "text": "%s", "num": "\0%.9g\0", "opt": "\0%s\0"}
 _RESPELL = frozenset(f"e{exponent:+03d}" for exponent in (*range(-324, -306), *range(-4, 16), 308))
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "": "null"}
 # the last five characters of each number cell that keeps its spelling: a
@@ -822,11 +813,11 @@ def _emit_json(report: Report) -> bytes:
     """The bytes of json.dumps(payload, indent=2) + "\n", where payload maps
     "scenario" to the name and each section to a list of {column: cell}."""
     parts = ['{\n  "scenario": ' + encode_basestring_ascii(report.scenario_name)]
-    for section, rows in _sections(report, encode_basestring_ascii):
-        if not rows:
+    for section, cells in _sections(report, _JSON):
+        if not cells:
             parts.append(f',\n  "{section}": []')
             continue
-        cells = _spell(rows, _JSON_PIECES[section], ",\n", section in _PROSE).split("\0")
+        cells = _spell(cells, _JSON_PIECES[section], ",\n").split("\0")
         # a cell without an exponent is kept when it holds "."
         cells[1::2] = [
             cell if cell[-5:] in _JSON_KEPT or ("." in cell and "e" not in cell) else _json_number(cell)
@@ -836,7 +827,7 @@ def _emit_json(report: Report) -> bytes:
     return ("".join(parts) + "\n}\n").encode()
 
 
-_CSV_CONVERSION = {"id": "%s", "text": '"%s"', "num": "%.8e", "dev": "%.2e"}
+_CSV_CONVERSION = {"id": "%s", "text": '"%s"', "num": "%.8e", "opt": "%s"}
 _CSV_PIECES = {
     section: [("," if i else "") + _CSV_CONVERSION[kind] for i, kind in enumerate(columns.values())]
     for section, columns in _COLUMNS.items()
@@ -845,10 +836,10 @@ _CSV_PIECES = {
 
 def _emit_csv(report: Report) -> bytes:
     lines = [f"# scenario: {report.scenario_name}"]
-    for section, rows in _sections(report):
+    for section, cells in _sections(report):
         lines += [f"# section: {section}", ",".join(_COLUMNS[section])]
-        if rows:
-            lines.append(_spell(rows, _CSV_PIECES[section], "\n", section in _PROSE))
+        if cells:
+            lines.append(_spell(cells, _CSV_PIECES[section], "\n"))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -857,21 +848,21 @@ _TEXT_TITLES = {"trajectory": "trajectory (SI):", "profile": "observation profil
 
 def _emit_text(report: Report) -> bytes:
     lines = [f"scenario: {report.scenario_name or '(unnamed)'}"]
-    for section, rows in _sections(report):
-        if not rows:
+    for section, cells in _sections(report):
+        if not cells:
             continue
         lines.append("")
         if section == "scalars":
-            name_w = max(len(row[0]) for row in rows)
+            name_w = max(map(len, cells[::5]))
             lines.append(f"{'quantity':<{name_w}}  {'value':>15}  {'unit':<10} {'reference':>15}  {'deviation':>9}")
-            lines.append(_spell(rows, (f"%-{name_w}s", "  %15.8e", "  %-10s", " %15.8e", "  %9.2e"), "\n", True))
+            lines.append(_spell(cells, (f"%-{name_w}s", "  %15.8e", "  %-10s", " %15s", "  %9s"), "\n"))
         elif section == "discrepancies":
             lines.append("known discrepancies of the published description:")
-            lines.append(_spell(rows, ("- %s", "\n    stated:   %s", "\n    computed: %.8e"), "\n", True))
+            lines.append(_spell(cells, ("- %s", "\n    stated:   %s", "\n    computed: %s"), "\n"))
         else:
             columns = _COLUMNS[section]
             lines += [_TEXT_TITLES[section], "  ".join(f"{column:>15}" for column in columns)]
-            lines.append(_spell(rows, ("%15.8e", *["  %15.8e"] * (len(columns) - 1)), "\n"))
+            lines.append(_spell(cells, ("%15.8e", *["  %15.8e"] * (len(columns) - 1)), "\n"))
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -21,13 +21,18 @@ def state_half_width(state, sigmas=8.5):
     return 0.5 * sigmas * (s_y + s_z)
 
 
+def operator_norm(op):
+    """The window's prefactor 2 sqrt(gamma/pi), fixed by unit trace."""
+    return 2.0 * math.sqrt(op.gamma / math.pi)
+
+
 def operator_kernel(op, x, xp):
     """Kernel values of the ObservationOperator ``op``; arguments broadcast."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     y = x - xp
     zc = x + xp - 2.0 * op.center
-    return op.norm * np.exp(-(op.alpha * y * y + op.gamma * zc * zc))
+    return operator_norm(op) * np.exp(-(op.alpha * y * y + op.gamma * zc * zc))
 
 
 def quad_trace(state, n=3001, sigmas=8.5):
@@ -98,7 +103,7 @@ def _contour_measure(op, state, n=201):
     y = ts[:, None] + 1j * (b / (2.0 * d)) * z
     exponent = -d * y * y + 1j * b * y * z - op.gamma * (z - 2.0 * op.center) ** 2 - state.c_coeff * z * z
     cell = (ts[1] - ts[0]) * (zs[1] - zs[0])
-    return complex(np.sum(np.exp(exponent)) * (0.5 * cell * op.norm * state.norm))
+    return complex(np.sum(np.exp(exponent)) * (0.5 * cell * operator_norm(op) * state.norm))
 
 
 def quad_mixture_measure(op, weights, states, xs=None):

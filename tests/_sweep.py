@@ -3,9 +3,9 @@
 The ranges are those of the benchmark's report sweep: mass 1e-18..10 kg,
 initial dx 1e-35..1e-6 m, t 1e-3..1e4 s, air or a generic environment, and
 0..32 observation windows; one scenario in six has a 256..512-sample
-trajectory.  Every fifth scenario is named "baseball", which attaches the
-published references and their deviations to rows computed far from the
-preset, and with [air] also the discrepancy ledger.
+trajectory.  Every fifth scenario is named "baseball", which with [air]
+attaches the published references and their deviations to rows computed far
+from the preset, and the discrepancy ledger.
 """
 
 from __future__ import annotations

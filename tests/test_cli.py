@@ -581,6 +581,19 @@ def test_report_commands_name_the_samples_flag(argv, capsys):
     assert captured.err == "validation error: --samples must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_environment_config_named_baseball_exits_0_without_references(fmt, tmp_path, capsys):
+    """The published references describe the preset's air, so an
+    [environment] config named baseball is compared with nothing: its report
+    is the golden one with the name changed, every reference cell empty."""
+    config = tmp_path / "baseball.ini"
+    config.write_text((GOLDEN / "environment.ini").read_text().replace("dust-grain", "baseball"))
+    assert main(["run", "--config", str(config), "--format", fmt, "--samples", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"environment.{fmt}").read_text().replace("dust-grain", "baseball")
+
+
 def test_spectrum_rejects_csv_format():
     result = run_cli("spectrum", "--A", "0.75", "--B", "-0.5", "--C", "0.0625", "--format", "csv")
     assert result.returncode == 2

@@ -485,6 +485,11 @@ def test_fit_rejects_a_window_that_does_not_determine_a_c_and_d(points):
         extract_gaussian_coefficients(GridState(-5.0, 5.0, values))
 
 
+def test_fit_rejects_an_identically_zero_kernel():
+    with pytest.raises(ValueError, match=r"^kernel is identically zero$"):
+        extract_gaussian_coefficients(GridState(-5.0, 5.0, np.zeros((64, 64), dtype=complex)))
+
+
 def test_extract_rejects_non_gaussian():
     # sum of two displaced Gaussians is not log-quadratic
     left = GaussianDensityMatrix(0.6, 0.0, 0.4)

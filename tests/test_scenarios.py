@@ -108,6 +108,11 @@ def test_baseball_within_both_tolerance_profiles(baseball_report):
     assert tolerance_failures(baseball_report, "paper") == []
 
 
+def test_tolerance_failures_rejects_an_unknown_profile(baseball_report):
+    with pytest.raises(ValueError, match=r"^profile must be 'strict' or 'paper', got 'loose'$"):
+        tolerance_failures(baseball_report, "loose")
+
+
 def test_every_reference_row_carries_deviation(baseball_report):
     for row in baseball_report.scalars:
         assert (row.reference is None) == (row.deviation is None)
@@ -153,8 +158,9 @@ def test_run_with_raw_environment():
 
 
 def test_baseball_named_environment_scenario_has_no_ledger():
-    """The ledger compares against the composite air formula, so a scenario
-    named baseball but given a raw [environment] runs without one."""
+    """The ledger compares against the composite air formula, and the
+    references describe the preset's air, so a scenario named baseball but
+    given a raw [environment] runs without either."""
     scenario = Scenario(
         particle=baseball_scenario().particle,
         initial_dx_m=PLANCK_LENGTH / 2.0,
@@ -165,6 +171,7 @@ def test_baseball_named_environment_scenario_has_no_ledger():
     report = run(scenario, samples=2)
     assert report.discrepancies == ()
     assert all(row.name != "lambda_composite_per_m4" for row in report.scalars)
+    assert all(row.reference is None and row.deviation is None for row in report.scalars)
 
 
 def test_observation_profile_in_report():
@@ -732,8 +739,10 @@ def test_json_emit_is_json_dumps_indent_2(seed, centres, samples, name, extra_pr
 
 
 # sha256 over the text, CSV and JSON bytes of every report of sweep(0, 150),
-# captured while the JSON report was still written by json.dumps
-_SWEEP_SHA256 = "05200f932156dd15add4d5c60a31cd04bad8993593ce66b7e5a1af55576e7c82"
+# captured while the JSON report was still written by json.dumps; retaken
+# when [environment] scenarios named baseball stopped carrying the preset's
+# references, as the old emitter's bytes with those cells emptied
+_SWEEP_SHA256 = "ef884d46ab4ff259d9bb144200aad3f64f1c8b86389a8138ef89242da2f3b924"
 
 
 def test_seeded_reports_keep_their_bytes():

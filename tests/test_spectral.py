@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import valid_states
 from decogauss.evolution import CubicSolution, GaussianDensityMatrix, evolve, purity
 from decogauss.spectral import (
+    EigenstateSpec,
     captured_mass,
     eigenstate_amplitude,
     eigenstate_spec,
@@ -81,6 +82,19 @@ def test_eigenvalue_rejects_bad_arguments():
         eigenvalue(1.0, -1)
     with pytest.raises(ValueError):
         eigenvalue(-0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: captured_mass(1.0, -1), "n_max must be nonnegative"),
+        (lambda: EigenstateSpec(-1, 1.0, 0.0), "index must be nonnegative"),
+    ],
+    ids=["captured_mass", "EigenstateSpec"],
+)
+def test_negative_level_index_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize(
