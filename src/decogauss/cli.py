@@ -56,6 +56,8 @@ def _load_config(path: str) -> scenarios.Scenario:
 def _samples(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > scenarios.MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {scenarios.MAX_SAMPLES}, got {args.samples}")
     return args.samples
 
 

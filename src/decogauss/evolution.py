@@ -163,26 +163,47 @@ def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSoluti
     )
 
 
+def _coefficients(cubic: CubicSolution, taus):
+    """Yield (X, X''/2, A, B, C) at each tau of an iterable, lazily, in the
+    cubic's length unit: the one evaluation of the closed form, which
+    `evolve` takes at one tau and a report's trajectory at every sample.
+
+    Plain floats, no range check: where X(tau) is not positive, A, B and C
+    are nan.  X and X' are CubicSolution.x_value's and x_prime's Horner
+    forms, X''/2 momentum_variance's, each factor formed as they form it.
+    """
+    lam, a2, a1, a0, ratio0 = cubic.lam, cubic.a2, cubic.a1, cubic.a0, cubic.ratio0
+    three_lam, two_a2, four_a2, six_a1, twelve_a0 = 3.0 * lam, 2.0 * a2, 4.0 * a2, 6.0 * a1, 12.0 * a0
+    for tau in taus:
+        x = a0 + tau * (a1 + tau * (a2 + lam * tau))
+        three_lam_tau = three_lam * tau
+        if not x > 0.0:
+            yield x, three_lam_tau + a2, math.nan, math.nan, math.nan
+            continue
+        lam_tau = lam * tau
+        # expanded 2XX'' - X'^2, innermost products pairing lam with tau; the
+        # exact value never drops below 1 (its tau derivative is 12*lam*X > 0),
+        # so clamp the rounding wobble at the purity boundary (nan clamps too)
+        numerator = ratio0 + lam_tau * (twelve_a0 + tau * (six_a1 + tau * (four_a2 + 3.0 * lam_tau)))
+        if not numerator > 1.0:
+            numerator = 1.0
+        eight_x = 8.0 * x
+        yield (
+            x,
+            three_lam_tau + a2,
+            numerator / eight_x,
+            -(a1 + tau * (two_a2 + three_lam_tau)) / (4.0 * x),
+            1.0 / eight_x,
+        )
+
+
 def evolve(cubic: CubicSolution, tau: float) -> GaussianDensityMatrix:
     """State at rescaled time tau >= 0 (tau in the cubic's length unit, squared)."""
     _require_nonnegative("tau", tau)
-    x = cubic.x_value(tau)
+    x, _, a_coeff, b_coeff, c_coeff = next(_coefficients(cubic, (tau,)))
     if x <= 0.0:
         raise ValueError(f"X(tau) must stay positive, got {x!r} at tau={tau!r}")
-    lam_tau = cubic.lam * tau
-    # expanded 2XX'' - X'^2, innermost products pairing lam with tau; the
-    # exact value never drops below 1 (its tau derivative is 12*lam*X > 0),
-    # so clamp the rounding wobble at the purity boundary
-    numerator = 4.0 * cubic.a2 + 3.0 * lam_tau
-    numerator = 6.0 * cubic.a1 + tau * numerator
-    numerator = 12.0 * cubic.a0 + tau * numerator
-    numerator = max(1.0, cubic.ratio0 + lam_tau * numerator)
-    eight_x = 8.0 * x
-    return GaussianDensityMatrix(
-        a_coeff=numerator / eight_x,
-        b_coeff=-cubic.x_prime(tau) / (4.0 * x),
-        c_coeff=1.0 / eight_x,
-    )
+    return GaussianDensityMatrix(a_coeff, b_coeff, c_coeff)
 
 
 def position_variance(cubic: CubicSolution, tau: float) -> float:

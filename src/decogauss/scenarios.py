@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, truediv
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -26,6 +26,7 @@ from .averaging import phase_average
 from .evolution import (
     CubicSolution,
     GaussianDensityMatrix,
+    _coefficients,
     cubic_from_initial,
     evolve,
     minimum_uncertainty_initial,
@@ -47,7 +48,7 @@ from .model import (
     _require_positive,
 )
 from .observation import measure_profile
-from .spectral import eigenstate_spec, eigenvalue, mean_excitation, von_neumann_entropy
+from .spectral import _ladder, eigenstate_spec, eigenvalue, mean_excitation, von_neumann_entropy
 from .units import H, HBAR, PLANCK_LENGTH, SPEED_OF_LIGHT, STANDARD_GRAVITY
 
 __all__ = [
@@ -74,6 +75,9 @@ OUNCE_KG = 0.028349523125
 JULIAN_YEAR_S = 31557600.0
 # m^2 per l_Pl^2, the one scale between SI and Planck units
 _AREA = PLANCK_LENGTH**2
+#: Most trajectory samples a report takes; ``run`` refuses more before it
+#: builds the sample times.
+MAX_SAMPLES = 10**6
 
 
 class ConfigError(Exception):
@@ -308,6 +312,8 @@ def run(scenario: Scenario, samples: int = 8) -> Report:
     trajectory table, the discrepancy ledger and the observation profile."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     evolution = evolve_scenario(scenario)
     # the published values describe the preset's air, so an [environment]
     # scenario named baseball is compared with nothing
@@ -457,26 +463,30 @@ def _discrepancy_ledger(value: dict[str, float]) -> tuple[DiscrepancyEntry, ...]
 
 
 def _trajectory_rows(evolution: ScenarioEvolution, times) -> tuple[TrajectoryRow, ...]:
-    """One SI row per sample time; one scale for the whole table rather
-    than a converted state per row."""
+    """One SI row per sample time: the closed form evaluated over plain
+    floats, one scale for the whole table rather than a state per row.
+
+    A row runs the state's checks only where its floats fail them, through
+    ``evolve`` and the entropy, so it raises the message the state gives.
+    The rows are built lazily in time order, so of two bad rows the first
+    raises first, as it would row by row."""
     particle, cubic = evolution.scenario.particle, evolution.cubic
+    taus_si, taus = tee(map(tau_from_time, times, repeat(particle)))
+    evaluated = _coefficients(cubic, map(truediv, taus, repeat(_AREA)))
     rows = []
-    for t in times:
-        tau_si = tau_from_time(t, particle)
-        tau_t = tau_si / _AREA
-        state_t = evolve(cubic, tau_t)
-        rows.append(
-            TrajectoryRow(
-                t,
-                tau_si,
-                position_variance(cubic, tau_t) * _AREA,
-                momentum_variance(cubic, tau_t) / _AREA,
-                state_t.a_coeff / _AREA,
-                state_t.b_coeff / _AREA,
-                state_t.c_coeff / _AREA,
-                *_excitation(state_t),
-            )
-        )
+    for t, tau_si, (x, dp2, a, b, c) in zip(times, taus_si, evaluated):
+        # C positive and finite, A and B finite: the state's invariants (A >= C
+        # follows from the clamped numerator); then N must be finite too
+        if 0.0 < c < math.inf and a < math.inf and -math.inf < b < math.inf:
+            n_mean, entropy = _ladder(a, c)
+        else:
+            n_mean = entropy = math.inf
+        if n_mean == math.inf:
+            # every row refused here fails a check of the checked route, which names it
+            n_mean, entropy = _excitation(evolve(cubic, tau_si / _AREA))
+        # tuple.__new__ is what the named tuple's own __new__ calls, without its Python frame
+        rows.append(tuple.__new__(TrajectoryRow, (t, tau_si, x * _AREA, dp2 / _AREA, a / _AREA, b / _AREA,
+                                                  c / _AREA, n_mean, entropy)))
     return tuple(rows)
 
 

@@ -60,10 +60,28 @@ class EigenstateSpec:
         _require_positive("width_parameter", self.width_parameter)
 
 
+def _ladder(a_coeff: float, c_coeff: float) -> tuple[float, float]:
+    """The ladder's (N, S) from A and C with no range check: the one home of
+    both formulas, which `mean_excitation`, `von_neumann_entropy` and a report's
+    trajectory share.  N = (sqrt(A/C) - 1)/2 is clipped at 0 against rounding
+    of pure states; an overflowing A/C gives N = inf and S = nan."""
+    n_mean = 0.5 * (math.sqrt(a_coeff / c_coeff) - 1.0)
+    if not n_mean > 0.0:
+        return 0.0, 0.0
+    return n_mean, _entropy(n_mean)
+
+
+def _entropy(n_mean: float) -> float:
+    """S(N) for N > 0, as `von_neumann_entropy` documents it."""
+    inverse = 1.0 / n_mean
+    if inverse == math.inf:
+        return math.log1p(n_mean) + n_mean * (math.log1p(n_mean) - math.log(n_mean))
+    return math.log1p(n_mean) + n_mean * math.log1p(inverse)
+
+
 def mean_excitation(state: GaussianDensityMatrix) -> float:
     """N = (sqrt(A/C) - 1)/2, clipped at 0 against rounding of pure states."""
-    ratio = state.a_coeff / state.c_coeff
-    return max(0.0, 0.5 * (math.sqrt(ratio) - 1.0))
+    return _ladder(state.a_coeff, state.c_coeff)[0]
 
 
 def eigenvalue(n_mean: float, n: int) -> float:
@@ -87,10 +105,7 @@ def von_neumann_entropy(n_mean: float) -> float:
     _require_nonnegative("mean excitation", n_mean)
     if n_mean == 0.0:
         return 0.0
-    inverse = 1.0 / n_mean
-    if inverse == math.inf:
-        return math.log1p(n_mean) + n_mean * (math.log1p(n_mean) - math.log(n_mean))
-    return math.log1p(n_mean) + n_mean * math.log1p(inverse)
+    return _entropy(n_mean)
 
 
 def captured_mass(n_mean: float, n_max: int) -> float:

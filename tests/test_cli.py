@@ -581,6 +581,19 @@ def test_report_commands_name_the_samples_flag(argv, capsys):
     assert captured.err == "validation error: --samples must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["baseball"], ["run", "--config", str(GOLDEN / "environment.ini")]], ids=["baseball", "run"]
+)
+def test_report_commands_refuse_samples_above_the_cap(argv, capsys):
+    """A count past scenarios.MAX_SAMPLES exits 3 at once, before any sample
+    time is built."""
+    huge = 100000000000000000000
+    assert main([*argv, "--samples", str(huge)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: --samples must be at most 1000000, got {huge}\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_environment_config_named_baseball_exits_0_without_references(fmt, tmp_path, capsys):
     """The published references describe the preset's air, so an

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import mpmath
@@ -159,52 +160,52 @@ def mp_measure(op, state):
 TINY = GaussianDensityMatrix(2.0**-1040, 0.0, 2.0**-1040)
 
 
-@pytest.mark.parametrize(
-    "op, state",
-    [
-        # 4 gamma (Q - gamma) = 2**-1078 underflows to 0 against a finite
-        # centre**2, which read 5.27e-82, the exponent lost
-        pytest.param(
-            ObservationOperator(2.0**270, 1.0, 2.0**-540), GaussianDensityMatrix(1.0, 0.0, 2.0**-540), id="underflow"
-        ),
-        # 4 gamma (Q - gamma) ~ 8.8e-315 is subnormal: 31 of its 53 bits are left
-        pytest.param(
-            ObservationOperator(4.1e79, 1.0, 1.3e-160), GaussianDensityMatrix(1.0, 0.0, 1.7e-155), id="subnormal"
-        ),
-        # it underflows against an overflowed centre**2: 0 * inf read nan
-        pytest.param(ObservationOperator(3.0 * 2.0**518, 0.0, 2.0**-1040), TINY, id="underflow-times-inf"),
-        pytest.param(ObservationOperator(-2.5e156, 0.0, 2.0**-1040), TINY, id="underflow-times-inf-negative"),
-        # 4 gamma (Q - gamma) = 4e308 overflows: -inf * centre**2 read 0,
-        # and -inf * 0 read nan at the window's centre
-        pytest.param(ObservationOperator(1e-5, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow"),
-        pytest.param(ObservationOperator(0.0, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow-at-zero"),
-        # the prefactor's (A + alpha) Q = 1e200 * 2e200 overflows: pi C / inf read 0
-        pytest.param(
-            ObservationOperator(1e-100, 0.0, 1e200), GaussianDensityMatrix(1e200, 0.0, 1e200), id="prefactor-overflow"
-        ),
-        # pi C / ((A + alpha) Q) ~ 4e-401 underflows to 0, though its square
-        # root ~ 6e-201 is a normal double
-        pytest.param(
-            ObservationOperator(3e99, 0.5, 2.0), GaussianDensityMatrix(4e200, 3.0, 1e-200), id="prefactor-underflow"
-        ),
-        # B * B = 9.6e-350 underflows to 0, though B^2 / (4 (A + alpha)) ~ 3e-30
-        # is most of Q: Q read C + gamma and the measure 2.0, not 8.878e-72
-        pytest.param(
-            ObservationOperator(0.0, 0.0, 6e-173), GaussianDensityMatrix(7.89e-321, -3.1e-175, 7.89e-321),
-            id="b-squared-underflow",
-        ),
-        # Q = 1e308 + 1e308 overflows, so inf / inf read nan; the value is sqrt(2)
-        pytest.param(ObservationOperator(0.0, 0.0, 1e308), GaussianDensityMatrix(1e308, 0.0, 1e308), id="q-overflow"),
-        # B^2 / (4 (A + alpha)) = 2.5e319 overflows on its own and read nan
-        pytest.param(
-            ObservationOperator(0.5, 0.0, 1.0), GaussianDensityMatrix(1.0, 1e160, 1.0), id="b-squared-overflow"
-        ),
-        # A + alpha = 2e308 overflows: pi C / ((A + alpha) Q) read 0, and the measure 0 for 1e-154
-        pytest.param(
-            ObservationOperator(0.0, 1e308, 1.0), GaussianDensityMatrix(1e308, 0.0, 1.0), id="a-plus-alpha-overflow"
-        ),
-    ],
-)
+OUT_OF_RANGE = [
+    # 4 gamma (Q - gamma) = 2**-1078 underflows to 0 against a finite
+    # centre**2, which read 5.27e-82, the exponent lost
+    pytest.param(
+        ObservationOperator(2.0**270, 1.0, 2.0**-540), GaussianDensityMatrix(1.0, 0.0, 2.0**-540), id="underflow"
+    ),
+    # 4 gamma (Q - gamma) ~ 8.8e-315 is subnormal: 31 of its 53 bits are left
+    pytest.param(
+        ObservationOperator(4.1e79, 1.0, 1.3e-160), GaussianDensityMatrix(1.0, 0.0, 1.7e-155), id="subnormal"
+    ),
+    # it underflows against an overflowed centre**2: 0 * inf read nan
+    pytest.param(ObservationOperator(3.0 * 2.0**518, 0.0, 2.0**-1040), TINY, id="underflow-times-inf"),
+    pytest.param(ObservationOperator(-2.5e156, 0.0, 2.0**-1040), TINY, id="underflow-times-inf-negative"),
+    # 4 gamma (Q - gamma) = 4e308 overflows: -inf * centre**2 read 0,
+    # and -inf * 0 read nan at the window's centre
+    pytest.param(ObservationOperator(1e-5, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow"),
+    pytest.param(ObservationOperator(0.0, 0.0, 1e300), GaussianDensityMatrix(1e8, 0.0, 1e8), id="overflow-at-zero"),
+    # the prefactor's (A + alpha) Q = 1e200 * 2e200 overflows: pi C / inf read 0
+    pytest.param(
+        ObservationOperator(1e-100, 0.0, 1e200), GaussianDensityMatrix(1e200, 0.0, 1e200), id="prefactor-overflow"
+    ),
+    # pi C / ((A + alpha) Q) ~ 4e-401 underflows to 0, though its square
+    # root ~ 6e-201 is a normal double
+    pytest.param(
+        ObservationOperator(3e99, 0.5, 2.0), GaussianDensityMatrix(4e200, 3.0, 1e-200), id="prefactor-underflow"
+    ),
+    # B * B = 9.6e-350 underflows to 0, though B^2 / (4 (A + alpha)) ~ 3e-30
+    # is most of Q: Q read C + gamma and the measure 2.0, not 8.878e-72
+    pytest.param(
+        ObservationOperator(0.0, 0.0, 6e-173), GaussianDensityMatrix(7.89e-321, -3.1e-175, 7.89e-321),
+        id="b-squared-underflow",
+    ),
+    # Q = 1e308 + 1e308 overflows, so inf / inf read nan; the value is sqrt(2)
+    pytest.param(ObservationOperator(0.0, 0.0, 1e308), GaussianDensityMatrix(1e308, 0.0, 1e308), id="q-overflow"),
+    # B^2 / (4 (A + alpha)) = 2.5e319 overflows on its own and read nan
+    pytest.param(
+        ObservationOperator(0.5, 0.0, 1.0), GaussianDensityMatrix(1.0, 1e160, 1.0), id="b-squared-overflow"
+    ),
+    # A + alpha = 2e308 overflows: pi C / ((A + alpha) Q) read 0, and the measure 0 for 1e-154
+    pytest.param(
+        ObservationOperator(0.0, 1e308, 1.0), GaussianDensityMatrix(1e308, 0.0, 1.0), id="a-plus-alpha-overflow"
+    ),
+]
+
+
+@pytest.mark.parametrize("op, state", OUT_OF_RANGE)
 def test_measure_keeps_an_exponent_whose_products_leave_the_range(op, state):
     exact = mp_measure(op, state)
     assert 0.0 < exact <= 2.0
@@ -293,3 +294,41 @@ def test_profile_partition_of_unity():
     rows = measure_profile(centers, alpha, gamma, STATE)
     total = spacing * math.sqrt(alpha / math.pi) * sum(m for _, m in rows)
     assert total == pytest.approx(1.0, abs=1e-3)
+
+
+def _window_by_window(centers, alpha, gamma, state):
+    """The profile as one checked window per centre and its own measure."""
+    return [(x_k, measure(ObservationOperator(x_k, alpha, gamma), state)) for x_k in centers]
+
+
+def _profile_outcome(profile_of, *args):
+    """Each row's centre and measure bits, or the ValueError raised instead."""
+    try:
+        return [(x_k, struct.pack("d", value)) for x_k, value in profile_of(*args)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_BAD = st.sampled_from((math.nan, math.inf, -math.inf, -1.0, 0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.sampled_from([case.values for case in OUT_OF_RANGE]),
+    state=st.none() | o1_states(),
+    centers=st.lists(st.none() | st.floats(-1e300, 1e300) | _BAD, min_size=1, max_size=6),
+    alpha=st.none() | st.floats(0.0, 1e300) | _BAD,
+    gamma=st.none() | st.floats(0.0, 1e300, exclude_min=True) | _BAD,
+)
+def test_profile_is_the_one_window_measure_per_centre(case, state, centers, alpha, gamma):
+    """measure_profile takes the centre-free terms once and is, bit for bit,
+    measure at each centre, across the out-of-range cases above; a bad input
+    raises the first error window-by-window checks raise: the first centre,
+    then alpha, then gamma, then the later centres."""
+    op, case_state = case
+    state = case_state if state is None else state
+    centers = [op.center if x_k is None else x_k for x_k in centers]
+    alpha = op.alpha if alpha is None else alpha
+    gamma = op.gamma if gamma is None else gamma
+    args = (centers, alpha, gamma, state)
+    assert _profile_outcome(measure_profile, *args) == _profile_outcome(_window_by_window, *args)

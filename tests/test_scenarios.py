@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from conftest import SUBPROCESS_ENV
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from decogauss import scenarios
+from decogauss import evolution, scenarios
 from decogauss.model import AirModel, FreeParticle, ScatteringEnvironment, tau_from_time
 from decogauss.scenarios import (
     _KEYS,
@@ -35,7 +36,7 @@ from decogauss.scenarios import (
     run,
     tolerance_failures,
 )
-from decogauss.spectral import spectral_summary
+from decogauss.spectral import mean_excitation, spectral_summary, von_neumann_entropy
 from decogauss.units import PLANCK_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -198,17 +199,79 @@ def test_observation_profile_in_report():
 
 @pytest.mark.parametrize("disable_decoherence, calls", [(False, 11), (True, 10)])
 def test_report_evolves_the_final_state_once(disable_decoherence, calls, monkeypatch):
-    """One evolve for the final state, one per trajectory row (8 samples
-    give 9), and, where lambda > 0, one at tau*e for the entropy growth."""
-    evolve, counted = scenarios.evolve, []
+    """The closed form's one evaluation receives one tau for the final
+    state, one per trajectory row (8 samples give 9), and, where lambda > 0,
+    one at tau*e for the entropy growth; only those two outside the
+    trajectory build a state through evolve."""
+    coefficients, evolve, taus, evolved = evolution._coefficients, scenarios.evolve, [], []
 
-    def counting(cubic, tau):
-        counted.append(tau)
+    def counting_coefficients(cubic, values):
+        for tau in values:
+            taus.append(tau)
+            yield from coefficients(cubic, (tau,))
+
+    def counting_evolve(cubic, tau):
+        evolved.append(tau)
         return evolve(cubic, tau)
 
-    monkeypatch.setattr(scenarios, "evolve", counting)
+    monkeypatch.setattr(evolution, "_coefficients", counting_coefficients)
+    monkeypatch.setattr(scenarios, "_coefficients", counting_coefficients)
+    monkeypatch.setattr(scenarios, "evolve", counting_evolve)
     run(dataclasses.replace(baseball_scenario(), disable_decoherence=disable_decoherence))
-    assert len(counted) == calls
+    assert len(taus) == calls
+    assert len(evolved) == (1 if disable_decoherence else 2)
+
+
+def _checked_rows(evolution_, times):
+    """The trajectory as one checked state per row: evolve, then
+    mean_excitation and von_neumann_entropy, each with its range checks."""
+    particle, cubic, area = evolution_.scenario.particle, evolution_.cubic, PLANCK_LENGTH**2
+    rows = []
+    for t in times:
+        tau_si = tau_from_time(t, particle)
+        tau = tau_si / area
+        state = evolution.evolve(cubic, tau)
+        n_mean = mean_excitation(state)
+        dx2, dp2 = evolution.position_variance(cubic, tau) * area, evolution.momentum_variance(cubic, tau) / area
+        a_coeff, b_coeff, c_coeff = state.a_coeff / area, state.b_coeff / area, state.c_coeff / area
+        rows.append(TrajectoryRow(t, tau_si, dx2, dp2, a_coeff, b_coeff, c_coeff, n_mean, von_neumann_entropy(n_mean)))
+    return rows
+
+
+def _outcome(rows_of, *args):
+    """Each row's bits, or the message of the ValueError raised instead."""
+    try:
+        return [struct.pack("9d", *row) for row in rows_of(*args)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_SWEEP_TEXTS = [text for text, _ in sweep(3, 40)]
+# sample times up to 1e300 s, times tau_from_time refuses, and evenly spaced
+# ones whose end overflows t*k
+_TIMES = st.lists(
+    st.just(0.0)
+    | st.builds(lambda e: 10.0**e, st.floats(-40.0, 300.0))
+    | st.floats(0.0, 1e300)
+    | st.sampled_from((math.inf, -1.0)),
+    min_size=1,
+    max_size=8,
+) | st.builds(
+    lambda end, samples: [end * k / samples for k in range(samples + 1)],
+    st.builds(lambda e: 10.0**e, st.floats(-3.0, 308.2)),
+    st.integers(1, 12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(index=st.integers(0, len(_SWEEP_TEXTS) - 1), disable_decoherence=st.booleans(), times=_TIMES)
+def test_trajectory_rows_are_the_checked_states_bit_for_bit(index, disable_decoherence, times):
+    """A trajectory row evaluated over plain floats is the row of a checked
+    state, bit for bit; where that state or its entropy is refused, the
+    table raises the same message, at the same first bad row."""
+    scenario = dataclasses.replace(load_scenario(_SWEEP_TEXTS[index]), disable_decoherence=disable_decoherence)
+    evolution_ = evolve_scenario(scenario)
+    assert _outcome(scenarios._trajectory_rows, evolution_, times) == _outcome(_checked_rows, evolution_, times)
 
 
 def test_report_spectrum_rows_are_the_spectral_summary():
@@ -489,6 +552,17 @@ def test_empty_centers_list_rejected(raw):
 def test_run_rejects_zero_samples():
     with pytest.raises(ValueError, match=r"^samples must be at least 1, got 0$"):
         run(baseball_scenario(), samples=0)
+
+
+def test_run_refuses_samples_above_the_cap_before_evolving(monkeypatch):
+    def unreachable(scenario):
+        raise AssertionError("evolved a scenario whose sample count is refused")
+
+    monkeypatch.setattr(scenarios, "evolve_scenario", unreachable)
+    with pytest.raises(ValueError, match=r"^samples must be at most 1000000, got 100000000000000000000$"):
+        run(baseball_scenario(), samples=10**20)
+    with pytest.raises(ValueError, match=r"^samples must be at most 1000000, got 1000001$"):
+        run(baseball_scenario(), samples=scenarios.MAX_SAMPLES + 1)
 
 
 def test_initial_dx_planck_lengths_key():
