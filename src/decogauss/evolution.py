@@ -147,9 +147,6 @@ class CubicSolution:
     def x_value(self, tau: float) -> float:
         return self.a0 + tau * (self.a1 + tau * (self.a2 + self.lam * tau))
 
-    def x_prime(self, tau: float) -> float:
-        return self.a1 + tau * (2.0 * self.a2 + 3.0 * self.lam * tau)
-
 
 def cubic_from_initial(state0: GaussianDensityMatrix, lam: float) -> CubicSolution:
     """Coefficients a0 = 1/(8C), a1 = -B/(2C), a2 = 2A + B^2/(2C) at tau = 0."""
@@ -169,8 +166,8 @@ def _coefficients(cubic: CubicSolution, taus):
     `evolve` takes at one tau and a report's trajectory at every sample.
 
     Plain floats, no range check: where X(tau) is not positive, A, B and C
-    are nan.  X and X' are CubicSolution.x_value's and x_prime's Horner
-    forms, X''/2 momentum_variance's, each factor formed as they form it.
+    are nan.  X and X''/2 are CubicSolution.x_value's and momentum_variance's
+    forms, each factor formed as they form it; X' is formed only here, for B.
     """
     lam, a2, a1, a0, ratio0 = cubic.lam, cubic.a2, cubic.a1, cubic.a0, cubic.ratio0
     three_lam, two_a2, four_a2, six_a1, twelve_a0 = 3.0 * lam, 2.0 * a2, 4.0 * a2, 6.0 * a1, 12.0 * a0

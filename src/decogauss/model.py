@@ -56,6 +56,8 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class FreeParticle:
+    """A free particle: its mass in kg and, for an air environment, its radius in m."""
+
     mass: float                      # kg
     radius: Optional[float] = None   # m, used only to derive a cross section
 
@@ -67,6 +69,8 @@ class FreeParticle:
 
 @dataclass(frozen=True)
 class ScatteringEnvironment:
+    """Point scatterers: density (1/m^3), cross section (m^2), relative speed (m/s), rms wavenumber (1/m)."""
+
     number_density: float           # 1/m^3
     cross_section: float            # m^2
     mean_relative_velocity: float   # m/s
@@ -81,6 +85,8 @@ class ScatteringEnvironment:
 
 @dataclass(frozen=True)
 class AirModel:
+    """Thermal air: molecular mass in kg, mass density in kg/m^3, temperature in K."""
+
     molecular_mass: float   # kg
     mass_density: float     # kg/m^3
     temperature: float      # K

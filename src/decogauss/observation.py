@@ -32,6 +32,8 @@ __all__ = ["ObservationOperator", "measure", "measure_profile"]
 
 @dataclass(frozen=True)
 class ObservationOperator:
+    """One window: its center (length) and its alpha and gamma widths (1/length^2)."""
+
     center: float  # length
     alpha: float   # 1/length^2, relative-coordinate width
     gamma: float   # 1/length^2, center-coordinate width

@@ -48,7 +48,7 @@ from .model import (
     _require_positive,
 )
 from .observation import measure_profile
-from .spectral import _ladder, eigenstate_spec, eigenvalue, mean_excitation, von_neumann_entropy
+from .spectral import _ladder, eigenstate_spec, eigenvalue
 from .units import H, HBAR, PLANCK_LENGTH, SPEED_OF_LIGHT, STANDARD_GRAVITY
 
 __all__ = [
@@ -87,6 +87,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ObservationFamilySpec:
+    """A family of windows: their centers in m and shared alpha and gamma in 1/m^2."""
+
     centers_m: tuple[float, ...]
     alpha_per_m2: float
     gamma_per_m2: float
@@ -100,6 +102,8 @@ class ObservationFamilySpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One report's inputs in SI: particle, initial width (m), times (s), environment."""
+
     particle: FreeParticle
     initial_dx_m: float
     evolution_time_s: float
@@ -131,6 +135,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScalarRow:
+    """A named report value in the given unit, with its published reference, if any."""
+
     name: str
     value: float
     unit: str
@@ -154,6 +160,8 @@ class TrajectoryRow(NamedTuple):
 
 @dataclass(frozen=True)
 class DiscrepancyEntry:
+    """A known error of the published description: what it states, what is computed."""
+
     description: str
     stated: str
     computed: float
@@ -166,6 +174,8 @@ class ProfileRow(NamedTuple):
 
 @dataclass(frozen=True)
 class Report:
+    """A scenario's report: scalar rows, SI trajectory, discrepancy ledger and profile."""
+
     scenario_name: str
     scalars: tuple[ScalarRow, ...]
     trajectory: tuple[TrajectoryRow, ...]
@@ -228,9 +238,11 @@ def _significand(value: float) -> float:
 
 
 def _excitation(state: GaussianDensityMatrix) -> tuple[float, float]:
-    """Mean excitation N and entropy S in nats, the one route every row takes."""
-    n_mean = mean_excitation(state)
-    return n_mean, von_neumann_entropy(n_mean)
+    """Mean excitation N and entropy S in nats, the one route every row takes:
+    one ladder evaluation, then the check `von_neumann_entropy` makes of N."""
+    n_mean, entropy = _ladder(state.a_coeff, state.c_coeff)
+    _require_nonnegative("mean excitation", n_mean)
+    return n_mean, entropy
 
 
 @dataclass(frozen=True)
@@ -785,18 +797,14 @@ def _spell(cells: tuple, pieces, sep: str) -> str:
 # numbers float repr spells otherwise can be found and respelled.  At these
 # exponents format and float repr spell the same number differently: repr
 # writes [1e-4, 1e16) in fixed notation, and a subnormal, or a rounding past
-# the largest double, has other digits
+# the largest double, has other digits.  Each entry is the last five
+# characters of such a cell: a digit and a two-digit exponent, or a
+# three-digit exponent
 _JSON_CONVERSION = {"id": "%s", "text": "%s", "num": "\0%.9g\0", "opt": "\0%s\0"}
-_RESPELL = frozenset(f"e{exponent:+03d}" for exponent in (*range(-324, -306), *range(-4, 16), 308))
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "": "null"}
-# the last five characters of each number cell that keeps its spelling: a
-# digit and a two-digit exponent, or a three-digit exponent, not in _RESPELL
-_JSON_KEPT = frozenset(
-    tail
-    for exponent in range(-324, 309)
-    if (suffix := f"e{exponent:+03d}") not in _RESPELL
-    for tail in ([digit + suffix for digit in "0123456789"] if len(suffix) == 4 else [suffix])
+_RESPELL = frozenset(
+    f"{digit}e{exponent:+03d}"[-5:] for exponent in (*range(-324, -306), *range(-4, 16), 308) for digit in range(10)
 )
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "": "null"}
 _JSON_PIECES = {
     section: [
         ("," if i else "    {")
@@ -810,13 +818,10 @@ _JSON_PIECES = {
 
 def _json_number(cell: str) -> str:
     """json.dumps(float(cell)) for a %.9g or %.3g cell whose spelling is not
-    float repr's: an exponent in _RESPELL, an integer or a constant; "" (a
+    float repr's: a tail in _RESPELL, an integer or a constant; "" (a
     None cell) is null."""
-    if "e" in cell:
-        cell = repr(float(cell))
-    elif cell not in _JSON_CONSTANTS:
-        return cell + ".0"  # an integer in fixed notation
-    return _JSON_CONSTANTS.get(cell, cell)
+    spelled = repr(float(cell)) if cell else cell
+    return _JSON_CONSTANTS.get(spelled, spelled)
 
 
 def _emit_json(report: Report) -> bytes:
@@ -828,9 +833,9 @@ def _emit_json(report: Report) -> bytes:
             parts.append(f',\n  "{section}": []')
             continue
         cells = _spell(cells, _JSON_PIECES[section], ",\n").split("\0")
-        # a cell without an exponent is kept when it holds "."
+        # a cell with an exponent is respelled by its tail, one without when it holds no "."
         cells[1::2] = [
-            cell if cell[-5:] in _JSON_KEPT or ("." in cell and "e" not in cell) else _json_number(cell)
+            _json_number(cell) if (cell[-5:] in _RESPELL if "e" in cell else "." not in cell) else cell
             for cell in cells[1::2]
         ]
         parts.append(f',\n  "{section}": [\n' + "".join(cells) + "\n  ]")

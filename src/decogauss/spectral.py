@@ -38,6 +38,8 @@ TARGET_MASS = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class SpectralSummary:
+    """The ladder's N, its entropy in nats, p_0, and the mass up to the truncation index."""
+
     mean_excitation: float
     entropy_nats: float
     p0: float

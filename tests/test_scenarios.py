@@ -13,7 +13,7 @@ import pytest
 from _config import dump_scenario
 from _sweep import random_config, sweep
 from conftest import SUBPROCESS_ENV
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from decogauss import evolution, scenarios
@@ -272,6 +272,52 @@ def test_trajectory_rows_are_the_checked_states_bit_for_bit(index, disable_decoh
     scenario = dataclasses.replace(load_scenario(_SWEEP_TEXTS[index]), disable_decoherence=disable_decoherence)
     evolution_ = evolve_scenario(scenario)
     assert _outcome(scenarios._trajectory_rows, evolution_, times) == _outcome(_checked_rows, evolution_, times)
+
+
+def _excitation_outcome(excitation, state):
+    """(N, S) as bits, or the message of the ValueError raised instead."""
+    try:
+        return struct.pack("2d", *excitation(state))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _checked_excitation(state):
+    n_mean = mean_excitation(state)
+    return n_mean, von_neumann_entropy(n_mean)
+
+
+def _assert_excitation_is_checked(state):
+    assert _excitation_outcome(scenarios._excitation, state) == _excitation_outcome(_checked_excitation, state)
+
+
+# A/C overflows, so N is inf
+_OVERFLOWING = evolution.GaussianDensityMatrix(1e300, 0.0, 1e-300)
+
+
+def test_excitation_is_the_checked_route_on_sweep_states():
+    """Each report's (N, S) route gives mean_excitation and its entropy bit
+    for bit: the pure start, the final state in Planck units and in SI, and
+    a state whose A/C overflows, which raises the entropy's message."""
+    for text, _ in sweep(0, 150):
+        evolution_ = evolve_scenario(load_scenario(text))
+        for state in (evolution.evolve(evolution_.cubic, 0.0), evolution_.state, evolution_.state_si):
+            _assert_excitation_is_checked(state)
+    _assert_excitation_is_checked(_OVERFLOWING)
+    with pytest.raises(ValueError, match=r"^mean excitation must be nonnegative and finite, got inf$"):
+        scenarios._excitation(_OVERFLOWING)
+
+
+_POSITIVE = st.floats(5e-324, 1.7976931348623157e308)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_POSITIVE, b=st.floats(allow_nan=False, allow_infinity=False), c=_POSITIVE)
+@example(a=1.0, b=0.0, c=1.0)  # pure
+@example(a=1.0000000000000002, b=0.0, c=1.0)  # nearly pure
+def test_excitation_is_the_checked_route_property(a, b, c):
+    """Over every representable state, overflowing A/C included."""
+    _assert_excitation_is_checked(evolution.GaussianDensityMatrix(max(a, c), b, min(a, c)))
 
 
 def test_report_spectrum_rows_are_the_spectral_summary():
@@ -783,6 +829,30 @@ def test_json_number_spelling_at_the_edges(value):
 @given(st.none() | st.floats())
 def test_json_number_spelling_property(value):
     _assert_spelled_one_cell_at_a_time(value)
+
+
+def test_json_number_spelling_at_every_exponent():
+    """Significands 1 to 9.99 at every decimal exponent of the doubles, both
+    signs, as trajectory cells (%.9g) and as deviations (%.3g): every tail
+    the emitter respells is reached, and the report is json.dumps's."""
+    values = [
+        sign * float(f"{significand}e{exponent}")
+        for exponent in range(-324, 309)
+        for significand in (1, 1.5, 2, 3, 4, 5, 6, 7, 8, 9, 9.99)
+        for sign in (1.0, -1.0)
+    ]
+    spelled = {format(value, spec)[-5:] for value in values for spec in (".9g", ".3g")}
+    # %g writes no 0 before an exponent, and no exponent within [1e-4, 1e3)
+    assert {tail for tail in scenarios._RESPELL if tail[0] != "0" and not -4 <= int(tail[-3:]) < 3} <= spelled
+    values += [0.0] * (-len(values) % 9)
+    report = Report(
+        "exponents",
+        tuple(ScalarRow("x", value, "1", value, value) for value in values),
+        tuple(TrajectoryRow(*values[i:i + 9]) for i in range(0, len(values), 9)),
+        (),
+        (),
+    )
+    assert emit(report, "json") == _json_dumps_reference(report)
 
 
 _AWKWARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600 ab') | st.characters(), max_size=16)
